@@ -1,0 +1,87 @@
+"""CLI output compared byte for byte with the files in tests/golden/.
+
+Each case runs one `polymf3` command in-process and compares its standard
+output, and its exit code of 0, with a stored file. The stored files fix the
+JSON artifacts, the aligned text, the verify reports and the laws report, so
+a refactor that changes any byte of them fails here. Later cases read the
+JSON files of earlier ones as inputs (tensor3, verify).
+
+Regenerate the files only for an intended change of output:
+
+    PYTHONPATH=src python tests/test_golden.py --write
+"""
+
+import contextlib
+import io
+import pathlib
+import sys
+
+import pytest
+
+from polymf3.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+PAPER = ["x*y + (x^2 + y*z)*z", "--splits", "x*y + (x^2+y*z)*z"]
+SQUARES = ["x^2 + y^2", "--splits", "x*x + y*y"]
+ZERO_PIVOT = ["z^2", "--splits", "x*y - x*y + z*z", "--pivot"]
+DISJOINT = ["u*v*w + w*u^2", "--splits", "(u*v)*w + w*u^2"]
+
+
+def _factor_cases() -> dict[str, list[str]]:
+    runs = {
+        "factor2-paper": ["factor2", *PAPER],
+        "factor2-monomials": ["factor2", "x*y + x^2*z + y*z^2"],
+    }
+    for method in ("doolittle", "crout"):
+        for which in ("first", "second"):
+            runs[f"factor3-{method}-{which}"] = [
+                "factor3", *SQUARES, "--method", method, "--which", which,
+            ]
+            runs[f"factor3-pivot-{method}-{which}"] = [
+                "factor3", *ZERO_PIVOT, "--method", method, "--which", which,
+            ]
+    runs["factor3-default"] = ["factor3", "x*y*z + z*x^2"]
+    runs["factor3-disjoint"] = ["factor3", *DISJOINT, "--method", "crout"]
+    cases = {}
+    for name, argv in runs.items():
+        cases[f"{name}.json"] = argv + ["--format", "json"]
+        cases[f"{name}.txt"] = argv + ["--format", "text"]
+    return cases
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = _factor_cases()
+    pair = [str(GOLDEN / "factor3-doolittle-first.json"), str(GOLDEN / "factor3-disjoint.json")]
+    cases["tensor3.json"] = ["tensor3", *pair, "--format", "json"]
+    cases["tensor3.txt"] = ["tensor3", *pair, "--format", "text"]
+    for name in [n for n in cases if n.endswith(".json")]:
+        cases[f"verify-{name[:-5]}.txt"] = ["verify", str(GOLDEN / name)]
+    cases["laws-seed2-cases6.txt"] = ["laws", "--seed", "2", "--cases", "6"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv) -> tuple[int, bytes]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue().encode()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_output_matches_golden(name):
+    code, out = _run(CASES[name])
+    assert code == 0
+    assert out == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit {code}")
+        (GOLDEN / name).write_bytes(out)
