@@ -15,7 +15,7 @@ from polymf3 import (
     splits_from_factors,
     standard_method,
 )
-from polymf3.serialize import format_matrix, format_mf2
+from polymf3.serialize import format_factorization, format_matrix
 
 ctx = VarContext("x y z")
 x, y, z = ctx.gens()
@@ -27,7 +27,7 @@ pair = MF2(
     x**3 + y**2,
 )
 print("A 2x2 factorization of x^3 + y^2 (the constructor verified P*Q = f*I):")
-print(format_mf2(pair))
+print(format_factorization(pair))
 
 # The recursive construction: factor each summand as left*right, start from
 # the 1x1 pairs ([left], [right]), and fold summands together, doubling the
@@ -35,7 +35,7 @@ print(format_mf2(pair))
 l = parse_polynomial("x*y + (x^2 + y*z)*z", ctx)
 splits = splits_from_factors(parse_summands("x*y + (x^2+y*z)*z", ctx))
 print(f"l = {l}, written as two products -> size {standard_method(l, splits).size}")
-print(format_mf2(standard_method(l, splits)))
+print(format_factorization(standard_method(l, splits)))
 
 # The same polynomial split into its three monomials gives a 4x4 pair whose
 # entries are all monomials.

@@ -14,7 +14,7 @@ from polymf3 import (
     lu_decompose,
     promote,
 )
-from polymf3.serialize import format_matrix, format_mf3
+from polymf3.serialize import format_factorization, format_matrix
 
 ctx = VarContext("x y")
 x, y = ctx.gens()
@@ -35,7 +35,7 @@ print("U =")
 print(format_matrix(res.U))
 
 print("\nPromoted triple (L, U, Q):")
-print(format_mf3(promote(pair, "first", "doolittle")))
+print(format_factorization(promote(pair, "first", "doolittle")))
 
 # Crout is the other normalization of the same elimination.
 crout = lu_decompose(pair.P, "crout")
@@ -54,4 +54,4 @@ except SingularPivotError as exc:
 # so the triple certificate still holds exactly.
 triple = promote(stuck, "first", "doolittle", pivot=True)
 print("with pivoting:", triple, "->", triple.provenance)
-print(format_mf3(triple))
+print(format_factorization(triple))

@@ -15,7 +15,7 @@ from polymf3 import (
     promote,
     tensor3,
 )
-from polymf3.serialize import format_matrix, format_mf3
+from polymf3.serialize import format_factorization, format_matrix
 
 ctx = VarContext("x y z")
 x, y, z = ctx.gens()
@@ -44,7 +44,7 @@ Y = promote(
 
 T = tensor3(X, Y)
 print(f"tensor3 of a factorization of f = {f} and one of g = {g}:")
-print(format_mf3(T))
+print(format_factorization(T))
 
 # Swapping the tensor order gives a different but isomorphic factorization:
 # every component of tensor3(Y, X) is the perfect-shuffle conjugate of the

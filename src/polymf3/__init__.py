@@ -28,16 +28,10 @@ from .errors import (
     UnknownVariableError,
 )
 from .laws import run_laws
-from .matrix import (
-    PermutationMatrix,
-    RatMatrix,
-    direct_sum,
-    first_difference,
-    kron,
-    perfect_shuffle,
-)
+from .matrix import PermutationMatrix, RatMatrix, first_difference, perfect_shuffle
 from .mf2 import (
     MF2,
+    Factorization,
     TermSplit,
     add_factorizations,
     default_splits,
@@ -62,6 +56,7 @@ __all__ = [
     "ContextError",
     "DOOLITTLE",
     "DimensionError",
+    "Factorization",
     "LUResult",
     "MF2",
     "MF3",
@@ -84,11 +79,9 @@ __all__ = [
     "add_factorizations",
     "commutativity_witness",
     "default_splits",
-    "direct_sum",
     "first_difference",
     "gcd",
     "infer_context",
-    "kron",
     "lu_decompose",
     "parse_polynomial",
     "parse_rational_function",

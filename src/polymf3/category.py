@@ -142,10 +142,8 @@ def tensor3(X: MF3, Y: MF3) -> MF3:
     size X.size * Y.size.
     """
     ctx = X.context.merge(Y.context)
-    xa1, xa2, xa3 = (m.in_context(ctx) for m in X.components)
-    ya1, ya2, ya3 = (m.in_context(ctx) for m in Y.components)
     target = X.target.in_context(ctx) * Y.target.in_context(ctx)
-    return MF3(xa1.kron(ya1), xa2.kron(ya2), xa3.kron(ya3), target)
+    return MF3(*_kron_pairs(X.components, Y.components, ctx), target)
 
 
 def tensor3_morphism(mf: Morphism3, mg: Morphism3) -> Morphism3:
@@ -156,10 +154,14 @@ def tensor3_morphism(mf: Morphism3, mg: Morphism3) -> Morphism3:
     """
     source = tensor3(mf.source, mg.source)
     target = tensor3(mf.target, mg.target)
-    ctx = source.context
-    fa, fb, fd = (m.in_context(ctx) for m in mf.components)
-    ga, gb, gd = (m.in_context(ctx) for m in mg.components)
-    return Morphism3(source, target, fa.kron(ga), fb.kron(gb), fd.kron(gd))
+    return Morphism3(
+        source, target, *_kron_pairs(mf.components, mg.components, source.context)
+    )
+
+
+def _kron_pairs(left, right, ctx) -> list[RatMatrix]:
+    """Componentwise Kronecker products, both sides moved into ctx first."""
+    return [a.in_context(ctx).kron(b.in_context(ctx)) for a, b in zip(left, right)]
 
 
 def commutativity_witness(X: MF3, Y: MF3) -> PermutationMatrix:

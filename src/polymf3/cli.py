@@ -29,8 +29,7 @@ from .parsing import infer_context, parse_polynomial, parse_summands
 from .serialize import (
     artifact_from_obj,
     artifact_to_obj,
-    format_mf2,
-    format_mf3,
+    format_factorization,
     to_json,
     verify_obj,
 )
@@ -97,11 +96,11 @@ def _emit(args, text: str):
         sys.stdout.write(text)
 
 
-def _emit_artifact(args, artifact, formatter):
+def _emit_artifact(args, artifact):
     if args.format == "json":
         _emit(args, to_json(artifact_to_obj(artifact)))
     else:
-        _emit(args, formatter(artifact))
+        _emit(args, format_factorization(artifact))
 
 
 def _build_mf2(args) -> MF2:
@@ -117,7 +116,7 @@ def _build_mf2(args) -> MF2:
 
 
 def cmd_factor2(args) -> int:
-    _emit_artifact(args, _build_mf2(args), format_mf2)
+    _emit_artifact(args, _build_mf2(args))
     return 0
 
 
@@ -132,7 +131,7 @@ def cmd_factor3(args) -> int:
             "(--which second), or switch --method\n"
         )
         return 1
-    _emit_artifact(args, triple, format_mf3)
+    _emit_artifact(args, triple)
     return 0
 
 
@@ -152,7 +151,7 @@ def cmd_tensor3(args) -> int:
     for path, artifact in ((args.file1, x), (args.file2, y)):
         if not isinstance(artifact, MF3):
             raise PolymfError(f"{path} does not hold a 3-matrix factorization")
-    _emit_artifact(args, tensor3(x, y), format_mf3)
+    _emit_artifact(args, tensor3(x, y))
     return 0
 
 
@@ -192,11 +191,11 @@ def cmd_demo(args) -> int:
         RatMatrix.from_rows(ctx, [[x, y], [-y, x]]),
         x**2 + y**2,
     )
-    print(format_mf2(pair_f))
+    print(format_factorization(pair_f))
 
     print("Doolittle LU of the first factor promotes it to a triple:")
     triple_f = promote(pair_f, which="first", method="doolittle")
-    print(format_mf3(triple_f))
+    print(format_factorization(triple_f))
 
     print("The same pipeline for g = x*y*z + z*x^2:")
     pair_g = MF2(
@@ -205,11 +204,11 @@ def cmd_demo(args) -> int:
         x * y * z + z * x**2,
     )
     triple_g = promote(pair_g, which="first", method="doolittle")
-    print(format_mf3(triple_g))
+    print(format_factorization(triple_g))
 
     print("Their multiplicative tensor product factors f*g at size 4:")
     product = tensor3(triple_f, triple_g)
-    print(format_mf3(product))
+    print(format_factorization(product))
 
     print("Randomized law suites (seed 1, 5 cases each):")
     for r in run_laws(seed=1, cases=5):
@@ -232,10 +231,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (ParseError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except PolymfError as exc:

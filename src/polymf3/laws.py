@@ -145,7 +145,7 @@ def _mismatch(label: str, a: RatMatrix, b: RatMatrix) -> str | None:
 def _compare_mf3(label: str, a: MF3, b: MF3) -> str | None:
     if a.target != b.target:
         return f"{label}: targets differ ({a.target} vs {b.target})"
-    for name, ma, mb in zip(("A1", "A2", "A3"), a.components, b.components):
+    for name, ma, mb in zip(a.names, a.components, b.components):
         msg = _mismatch(f"{label}.{name}", ma, mb)
         if msg:
             return msg
@@ -185,7 +185,7 @@ def case_commutativity(rng: random.Random) -> str | None:
     ctx = XY.context
     S = commutativity_witness(X, Y).to_matrix(ctx)
     St = S.transpose()
-    for name, xy, yx in zip(("A1", "A2", "A3"), XY.components, YX.components):
+    for name, xy, yx in zip(XY.names, XY.components, YX.components):
         msg = _mismatch(f"shuffle conjugation of {name}", yx.in_context(ctx), S @ xy @ St)
         if msg:
             return msg
@@ -213,7 +213,7 @@ def case_distributivity(rng: random.Random) -> str | None:
         perfect_shuffle(m, n1).to_matrix(ctx).direct_sum(perfect_shuffle(m, n2).to_matrix(ctx))
     )
     Wt = W.transpose()
-    for name, a, b in zip(("A1", "A2", "A3"), lhs.components, inner.components):
+    for name, a, b in zip(lhs.names, lhs.components, inner.components):
         msg = _mismatch(f"X'@(X1+X2) vs conjugated sum, {name}", a, W @ b @ Wt)
         if msg:
             return msg

@@ -234,14 +234,6 @@ class RatMatrix:
         return f"RatMatrix({self._rows}x{self._cols}: [{body}])"
 
 
-def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return a.kron(b)
-
-
-def direct_sum(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return a.direct_sum(b)
-
-
 def first_difference(a: RatMatrix, b: RatMatrix) -> tuple[int, int] | None:
     """Row-major position of the first differing entry, or None if equal."""
     if a.shape != b.shape:

@@ -1,4 +1,9 @@
-"""2-matrix factorizations: certified pairs (P, Q) with P*Q = f*I.
+"""Certified matrix factorizations, and the 2-matrix ones (P, Q) with P*Q = f*I.
+
+Factorization holds what every certified factorization shares: square,
+equal-sized components whose left-to-right product is f*I, checked on
+construction. MF2 is the pair (P, Q); MF3 (in mf3.py) is the triple
+(A1, A2, A3).
 
 The recursive sum construction combines a factorization of f1 and one of
 f2 into a factorization of f1 + f2 of size 2*n1*n2, doubling on each added
@@ -25,30 +30,36 @@ def check_product_is_scalar(label: str, product: RatMatrix, f: Polynomial):
         raise CertificateError(label, i, j, product[i, j], expected[i, j])
 
 
-class MF2:
-    """A certified pair of square matrices with P*Q = target*I."""
+class Factorization:
+    """A certified tuple of square matrices whose product is target*I.
 
-    __slots__ = ("_p", "_q", "_target", "_size")
+    Subclasses name the components; the certificate multiplies them left to
+    right, ((C1*C2)*C3)*..., and is labelled by the joined names ("P*Q").
+    """
 
-    def __init__(self, P: RatMatrix, Q: RatMatrix, target: Polynomial):
-        if not (P.is_square and Q.is_square and P.rows == Q.rows):
+    __slots__ = ("_components", "_target", "provenance")
+    names: tuple[str, ...] = ()
+
+    def __init__(self, components: tuple, target: Polynomial, provenance=None):
+        shapes = [m.shape for m in components]
+        if not (components[0].is_square and len(set(shapes)) == 1):
+            separator = " and " if len(shapes) == 2 else ", "
             raise DimensionError(
-                f"factors must be square and equal-sized, got {P.shape} and {Q.shape}"
+                "factors must be square and equal-sized, got "
+                + separator.join(str(shape) for shape in shapes)
             )
-        same_context(P, Q, target)
-        check_product_is_scalar("P*Q", P @ Q, target)
-        self._p = P
-        self._q = Q
+        same_context(*components, target)
+        product = components[0]
+        for m in components[1:]:
+            product = product @ m
+        check_product_is_scalar("*".join(self.names), product, target)
+        self._components = components
         self._target = target
-        self._size = P.rows
+        self.provenance = provenance
 
     @property
-    def P(self) -> RatMatrix:
-        return self._p
-
-    @property
-    def Q(self) -> RatMatrix:
-        return self._q
+    def components(self) -> tuple[RatMatrix, ...]:
+        return self._components
 
     @property
     def target(self) -> Polynomial:
@@ -56,34 +67,61 @@ class MF2:
 
     @property
     def size(self) -> int:
-        return self._size
+        return self._components[0].rows
 
     @property
     def context(self):
         return self._target.context
 
+    def direct_sum(self, other):
+        """Componentwise block-diagonal sum of two factorizations of the same f."""
+        if self.context != other.context:
+            raise ContextError("factorizations from different variable contexts")
+        if self._target != other._target:
+            raise ValueError(
+                f"direct sum needs equal targets, got {self._target} and {other._target}"
+            )
+        return type(self)(
+            *(a.direct_sum(b) for a, b in zip(self._components, other._components)),
+            self._target,
+        )
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._target == other._target and self._components == other._components
+
+    def __hash__(self):
+        return hash((self._components, self._target))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(size={self.size}, target={self._target})"
+
+
+class MF2(Factorization):
+    """A certified pair of square matrices with P*Q = target*I."""
+
+    __slots__ = ()
+    names = ("P", "Q")
+
+    def __init__(self, P: RatMatrix, Q: RatMatrix, target: Polynomial):
+        super().__init__((P, Q), target)
+
+    @property
+    def P(self) -> RatMatrix:
+        return self._components[0]
+
+    @property
+    def Q(self) -> RatMatrix:
+        return self._components[1]
+
     def is_two_sided(self) -> bool:
         """Whether Q*P = target*I as well (automatic when target != 0)."""
         try:
-            check_product_is_scalar("Q*P", self._q @ self._p, self._target)
+            check_product_is_scalar("Q*P", self.Q @ self.P, self._target)
         except CertificateError:
             return False
         return True
-
-    def __eq__(self, other):
-        if not isinstance(other, MF2):
-            return NotImplemented
-        return (
-            self._target == other._target
-            and self._p == other._p
-            and self._q == other._q
-        )
-
-    def __hash__(self):
-        return hash((self._p, self._q, self._target))
-
-    def __repr__(self):
-        return f"MF2(size={self._size}, target={self._target})"
 
 
 @dataclass(frozen=True)
@@ -174,12 +212,8 @@ def add_factorizations(x1: MF2, x2: MF2) -> MF2:
     q1i = x1.Q.kron(i2)
     ip2 = i1.kron(x2.P)
     iq2 = i1.kron(x2.Q)
-    top_p = _hstack(p1i, -ip2)
-    bot_p = _hstack(iq2, q1i)
-    top_q = _hstack(q1i, ip2)
-    bot_q = _hstack(-iq2, p1i)
-    P = _vstack(top_p, bot_p)
-    Q = _vstack(top_q, bot_q)
+    P = _blocks((p1i, -ip2), (iq2, q1i))
+    Q = _blocks((q1i, ip2), (-iq2, p1i))
     return MF2(P, Q, x1.target + x2.target)
 
 
@@ -208,22 +242,11 @@ def standard_method(f: Polynomial, splits: list[TermSplit] | None = None) -> MF2
     return result
 
 
-def _hstack(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a.rows != b.rows:
-        raise DimensionError("row mismatch in block assembly")
+def _blocks(top: tuple, bottom: tuple) -> RatMatrix:
+    """The block matrix [[top[0], top[1]], [bottom[0], bottom[1]]] of n x n blocks."""
     entries = []
-    for i in range(a.rows):
-        entries.extend(a.row(i))
-        entries.extend(b.row(i))
-    return RatMatrix(a.context, a.rows, a.cols + b.cols, entries)
-
-
-def _vstack(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    if a.cols != b.cols:
-        raise DimensionError("column mismatch in block assembly")
-    entries = []
-    for i in range(a.rows):
-        entries.extend(a.row(i))
-    for i in range(b.rows):
-        entries.extend(b.row(i))
-    return RatMatrix(a.context, a.rows + b.rows, a.cols, entries)
+    for left, right in (top, bottom):
+        for i in range(left.rows):
+            entries.extend(left.row(i) + right.row(i))
+    n = 2 * top[0].rows
+    return RatMatrix(top[0].context, n, n, entries)

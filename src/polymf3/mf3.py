@@ -5,27 +5,26 @@ Crout: unit diagonal on U), turning (P, Q) into a certified triple such as
 (L, U, Q). Pivots are exact zero tests; optional row pivoting takes the
 first usable row and the transposed permutation is absorbed into the
 L-side factor so the triple certificate survives.
+
+MF3 is the triple case of mf2.Factorization. The provenance that promote
+records is checked whenever an MF3 is built, so a stored artifact cannot
+claim a split that its matrices do not show.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .context import same_context
-from .errors import (
-    ContextError,
-    DimensionError,
-    SingularPivotError,
-    StructurallySingularError,
-)
+from .errors import DimensionError, SingularPivotError, StructurallySingularError
 from .matrix import PermutationMatrix, RatMatrix
-from .mf2 import MF2, check_product_is_scalar
+from .mf2 import MF2, Factorization
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 
 DOOLITTLE = "doolittle"
 CROUT = "crout"
 _METHODS = (DOOLITTLE, CROUT)
+_WHICH = ("first", "second")
 
 
 @dataclass(frozen=True)
@@ -35,10 +34,14 @@ class Provenance:
     pivoted: bool
 
 
-class MF3:
-    """A certified triplet of square matrices with A1*A2*A3 = target*I."""
+class MF3(Factorization):
+    """A certified triplet of square matrices with A1*A2*A3 = target*I.
 
-    __slots__ = ("_a1", "_a2", "_a3", "_target", "_size", "provenance")
+    A provenance, when given, must match the LU split the matrices show.
+    """
+
+    __slots__ = ()
+    names = ("A1", "A2", "A3")
 
     def __init__(
         self,
@@ -48,79 +51,46 @@ class MF3:
         target: Polynomial,
         provenance: Provenance | None = None,
     ):
-        if not (
-            A1.is_square
-            and A1.shape == A2.shape == A3.shape
-        ):
-            raise DimensionError(
-                f"factors must be square and equal-sized, got "
-                f"{A1.shape}, {A2.shape}, {A3.shape}"
-            )
-        same_context(A1, A2, A3, target)
-        check_product_is_scalar("A1*A2*A3", A1 @ A2 @ A3, target)
-        self._a1 = A1
-        self._a2 = A2
-        self._a3 = A3
-        self._target = target
-        self._size = A1.rows
-        self.provenance = provenance
+        super().__init__((A1, A2, A3), target, provenance)
+        if provenance is not None:
+            _check_provenance(self, provenance)
 
     @property
     def A1(self) -> RatMatrix:
-        return self._a1
+        return self._components[0]
 
     @property
     def A2(self) -> RatMatrix:
-        return self._a2
+        return self._components[1]
 
     @property
     def A3(self) -> RatMatrix:
-        return self._a3
+        return self._components[2]
 
-    @property
-    def components(self) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
-        return self._a1, self._a2, self._a3
 
-    @property
-    def target(self) -> Polynomial:
-        return self._target
-
-    @property
-    def size(self) -> int:
-        return self._size
-
-    @property
-    def context(self):
-        return self._target.context
-
-    def direct_sum(self, other: MF3) -> MF3:
-        """Componentwise block-diagonal sum of two factorizations of the same f."""
-        if self.context != other.context:
-            raise ContextError("factorizations from different variable contexts")
-        if self._target != other._target:
-            raise ValueError(
-                f"direct sum needs equal targets, got {self._target} and {other._target}"
-            )
-        return MF3(
-            self._a1.direct_sum(other._a1),
-            self._a2.direct_sum(other._a2),
-            self._a3.direct_sum(other._a3),
-            self._target,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, MF3):
-            return NotImplemented
-        return (
-            self._target == other._target
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.components, self._target))
-
-    def __repr__(self):
-        return f"MF3(size={self._size}, target={self._target})"
+def _check_provenance(x: MF3, p: Provenance):
+    """Raise ValueError unless the L, U pair of x ((A1, A2) or (A2, A3)) has the
+    shape of the LU split that p names."""
+    if p.method not in _METHODS:
+        raise ValueError(f"provenance method {p.method!r} is not doolittle or crout")
+    if p.decomposed not in _WHICH:
+        raise ValueError(f"provenance decomposed {p.decomposed!r} is not first or second")
+    k = _WHICH.index(p.decomposed)
+    l_name, u_name = x.names[k : k + 2]
+    L, U = x.components[k : k + 2]
+    n = x.size
+    claim = f"provenance claims {p.method} on the {p.decomposed} factor, but"
+    if any(not U[i, j].is_zero for i in range(n) for j in range(i)):
+        raise ValueError(f"{claim} {u_name} is not upper triangular")
+    if p.method == CROUT and not all(U[i, i].is_one for i in range(n)):
+        raise ValueError(f"{claim} {u_name} has a non-unit diagonal")
+    # the column of each row's last nonzero entry: L's diagonal, rows permuted if pivoted
+    last = [max((j for j in range(n) if not L[i, j].is_zero), default=-1) for i in range(n)]
+    if (sorted(last) if p.pivoted else last) != list(range(n)):
+        permuted = " up to a row permutation" if p.pivoted else ""
+        raise ValueError(f"{claim} {l_name} is not lower triangular{permuted}")
+    if p.method == DOOLITTLE and not all(L[i, last[i]].is_one for i in range(n)):
+        raise ValueError(f"{claim} {l_name} has a non-unit diagonal")
 
 
 @dataclass(frozen=True)
@@ -211,7 +181,7 @@ def promote(
     Q, giving (P, L, U). With pivoting, L @ U = Perm @ factor, so the triple
     uses Perm.transpose() @ L in place of L and the certificate still holds.
     """
-    if which not in ("first", "second"):
+    if which not in _WHICH:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
     factor = X.P if which == "first" else X.Q
     result = lu_decompose(factor, method=method, pivot=pivot)

@@ -11,12 +11,19 @@ Grammar (whitespace insignificant, ^ binds tightest, * explicit):
 Identifiers match [a-zA-Z][a-zA-Z0-9_]*; INT is a nonnegative integer and
 INT '/' INT is a rational literal. There is no division operator: a '/'
 is only consumed between two integer literals.
+
+Hostile input ends in a ParseError at three limits: parentheses and unary
+minus nest at most MAX_NESTING deep, exponents are at most MAX_EXPONENT, and
+expanding one product (its factors' term counts multiplied) or power (base^e
+as base^(e//2) times base^(e - e//2), where a t-term base^k has at most
+C(t+k-1, k) terms) takes at most MAX_TERM_PRODUCTS term products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, prod
 
 from .context import VarContext
 from .errors import ParseError, UnknownVariableError
@@ -32,6 +39,10 @@ class _Token:
 
 
 _OPS = set("+-*^/()")
+
+MAX_NESTING = 100
+MAX_EXPONENT = 1000
+MAX_TERM_PRODUCTS = 10_000
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -71,6 +82,7 @@ class _Parser:
         self.ctx = ctx
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -93,6 +105,12 @@ class _Parser:
     def fail(self, message):
         raise ParseError(message, self.text, self.peek().pos)
 
+    def check_expansion(self, term_products: int, pos: int):
+        if term_products > MAX_TERM_PRODUCTS:
+            raise ParseError(
+                f"expansion needs more than {MAX_TERM_PRODUCTS} term products", self.text, pos
+            )
+
     # -- grammar rules ---------------------------------------------------
 
     def expr(self) -> Polynomial:
@@ -104,35 +122,47 @@ class _Parser:
         return total
 
     def term(self) -> Polynomial:
-        total = self.factor()
-        while self.at_op("*"):
-            self.advance()
-            total = total * self.factor()
-        return total
+        factors = self.term_factors()
+        return prod(factors[1:], start=factors[0])
 
     def term_factors(self) -> list[Polynomial]:
-        """Like term(), but keeps the top-level product structure."""
+        """The factors of one product, unexpanded."""
         factors = [self.factor()]
+        term_products = len(factors[0])
         while self.at_op("*"):
-            self.advance()
+            pos = self.advance().pos
             factors.append(self.factor())
+            term_products *= len(factors[-1])
+            self.check_expansion(term_products, pos)
         return factors
 
     def factor(self) -> Polynomial:
+        if self.depth == MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} levels deep")
+        self.depth += 1
         if self.at_op("-"):
             self.advance()
-            return -self.factor()
-        return self.power()
+            result = -self.factor()
+        else:
+            result = self.power()
+        self.depth -= 1
+        return result
 
     def power(self) -> Polynomial:
         base = self.atom()
-        if self.at_op("^"):
-            self.advance()
-            tok = self.advance()
-            if tok.kind != "INT":
-                raise ParseError("expected an integer exponent", self.text, tok.pos)
-            return base ** int(tok.value)
-        return base
+        if not self.at_op("^"):
+            return base
+        self.advance()
+        tok = self.advance()
+        if tok.kind != "INT":
+            raise ParseError("expected an integer exponent", self.text, tok.pos)
+        exponent = int(tok.value)
+        if exponent > MAX_EXPONENT:
+            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, tok.pos)
+        half = exponent // 2
+        bounds = [comb(max(len(base) - 1, 0) + k, k) for k in (half, exponent - half)]
+        self.check_expansion(bounds[0] * bounds[1], tok.pos)
+        return base ** exponent
 
     def atom(self) -> Polynomial:
         tok = self.advance()

@@ -232,12 +232,6 @@ class Polynomial:
     def leading_coefficient(self) -> Fraction:
         return self.leading_term()[1]
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        if not self.is_constant:
-            raise ValueError(f"{self} is not constant")
-        return self._terms.get(_ONE_MONOMIAL, Fraction(0))
-
     def var_indices(self) -> tuple[int, ...]:
         used = set()
         for m in self._terms:
@@ -405,9 +399,6 @@ class Polynomial:
         if q is None:
             raise ValueError(f"({divisor}) does not divide ({self})")
         return q
-
-    def divisible_by(self, divisor: Polynomial) -> bool:
-        return self.try_exact_div(divisor) is not None
 
     def monomial_content(self) -> Monomial:
         """The largest monomial dividing every term (1 for the zero polynomial)."""

@@ -8,13 +8,13 @@ order so a write/read cycle reproduces the bytes exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .category import Morphism3
 from .context import VarContext
-from .errors import CertificateError, DimensionError, MorphismError, ParseError
+from .errors import CertificateError, ContextError, DimensionError, MorphismError, ParseError
 from .matrix import RatMatrix
-from .mf2 import MF2
+from .mf2 import MF2, Factorization
 from .mf3 import MF3, Provenance
 from .parsing import parse_polynomial, parse_rational_function
 
@@ -45,60 +45,45 @@ def _context_from_obj(obj) -> VarContext:
     return VarContext(names)
 
 
-def mf2_to_obj(x: MF2) -> dict:
-    return {
-        "f": str(x.target),
-        "size": x.size,
-        "P": matrix_to_obj(x.P),
-        "Q": matrix_to_obj(x.Q),
-        "vars": list(x.context.names),
-    }
+def factorization_to_obj(x: Factorization) -> dict:
+    obj = {"f": str(x.target), "size": x.size}
+    obj.update((name, matrix_to_obj(m)) for name, m in zip(x.names, x.components))
+    if isinstance(x, MF3):
+        obj["provenance"] = None if x.provenance is None else asdict(x.provenance)
+    obj["vars"] = list(x.context.names)
+    return obj
 
 
-def mf2_from_obj(obj) -> MF2:
+def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
+    """Load and re-certify a factorization of class cls, checking its size claim."""
     ctx = _context_from_obj(obj)
     f = parse_polynomial(obj["f"], ctx)
-    return MF2(matrix_from_obj(obj["P"], ctx), matrix_from_obj(obj["Q"], ctx), f)
+    args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
+    if cls is MF3:
+        p = obj.get("provenance")
+        if p is not None:
+            args.append(Provenance(p["method"], p["decomposed"], bool(p["pivoted"])))
+    x = cls(*args)
+    if obj["size"] != x.size:
+        raise DimensionError(
+            f"artifact claims size {obj['size']}, but its matrices are {x.size}x{x.size}"
+        )
+    return x
 
 
-def mf3_to_obj(x: MF3) -> dict:
-    p = x.provenance
-    return {
-        "f": str(x.target),
-        "size": x.size,
-        "A1": matrix_to_obj(x.A1),
-        "A2": matrix_to_obj(x.A2),
-        "A3": matrix_to_obj(x.A3),
-        "provenance": None
-        if p is None
-        else {"method": p.method, "decomposed": p.decomposed, "pivoted": p.pivoted},
-        "vars": list(x.context.names),
-    }
+# the former per-kind names of the two functions above
+mf3_to_obj = factorization_to_obj
 
 
 def mf3_from_obj(obj) -> MF3:
-    ctx = _context_from_obj(obj)
-    f = parse_polynomial(obj["f"], ctx)
-    p = obj.get("provenance")
-    provenance = (
-        None
-        if p is None
-        else Provenance(p["method"], p["decomposed"], bool(p["pivoted"]))
-    )
-    return MF3(
-        matrix_from_obj(obj["A1"], ctx),
-        matrix_from_obj(obj["A2"], ctx),
-        matrix_from_obj(obj["A3"], ctx),
-        f,
-        provenance=provenance,
-    )
+    return factorization_from_obj(obj, MF3)
 
 
 def morphism_to_obj(m: Morphism3) -> dict:
     return {
         "f": str(m.source.target),
-        "source": mf3_to_obj(m.source),
-        "target": mf3_to_obj(m.target),
+        "source": factorization_to_obj(m.source),
+        "target": factorization_to_obj(m.target),
         "alpha": matrix_to_obj(m.alpha),
         "beta": matrix_to_obj(m.beta),
         "delta": matrix_to_obj(m.delta),
@@ -108,8 +93,8 @@ def morphism_to_obj(m: Morphism3) -> dict:
 
 def morphism_from_obj(obj) -> Morphism3:
     ctx = _context_from_obj(obj)
-    source = mf3_from_obj(obj["source"])
-    target = mf3_from_obj(obj["target"])
+    source = factorization_from_obj(obj["source"], MF3)
+    target = factorization_from_obj(obj["target"], MF3)
     return Morphism3(
         source,
         target,
@@ -120,13 +105,15 @@ def morphism_from_obj(obj) -> Morphism3:
 
 
 def artifact_to_obj(artifact) -> dict:
-    if isinstance(artifact, MF2):
-        return mf2_to_obj(artifact)
-    if isinstance(artifact, MF3):
-        return mf3_to_obj(artifact)
+    if isinstance(artifact, Factorization):
+        return factorization_to_obj(artifact)
     if isinstance(artifact, Morphism3):
         return morphism_to_obj(artifact)
     raise TypeError(f"cannot serialize {artifact!r}")
+
+
+# JSON kind -> factorization class, recognized by the first component's key
+_FACTORIZATIONS = {f"mf{len(cls.names)}": cls for cls in (MF3, MF2)}
 
 
 def artifact_kind(obj) -> str:
@@ -134,18 +121,18 @@ def artifact_kind(obj) -> str:
         raise ParseError("malformed artifact: not a JSON object")
     if "alpha" in obj:
         return "morphism3"
-    if "A1" in obj:
-        return "mf3"
-    if "P" in obj:
-        return "mf2"
+    for kind, cls in _FACTORIZATIONS.items():
+        if cls.names[0] in obj:
+            return kind
     raise ParseError("malformed artifact: unrecognized structure")
 
 
 def artifact_from_obj(obj):
     kind = artifact_kind(obj)
-    loader = {"mf2": mf2_from_obj, "mf3": mf3_from_obj, "morphism3": morphism_from_obj}
     try:
-        return loader[kind](obj)
+        if kind == "morphism3":
+            return morphism_from_obj(obj)
+        return factorization_from_obj(obj, _FACTORIZATIONS[kind])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed {kind} artifact: {exc}") from None
 
@@ -157,6 +144,14 @@ def to_json(obj: dict) -> str:
 # -- verification reports ----------------------------------------------------
 
 
+def _describe(kind: str) -> tuple[str, str]:
+    """(name, identity checked) of an artifact kind, for reports."""
+    if kind == "morphism3":
+        return "morphism of 3-matrix factorizations", "all three commuting squares hold"
+    names = _FACTORIZATIONS[kind].names
+    return f"{len(names)}-matrix factorization ({', '.join(names)})", f"{'*'.join(names)} = f*I"
+
+
 @dataclass
 class VerifyReport:
     kind: str
@@ -166,13 +161,8 @@ class VerifyReport:
     detail: str
 
     def lines(self) -> list[str]:
-        names = {
-            "mf2": "2-matrix factorization (P, Q)",
-            "mf3": "3-matrix factorization (A1, A2, A3)",
-            "morphism3": "morphism of 3-matrix factorizations",
-        }
         return [
-            f"kind: {names[self.kind]}",
+            f"kind: {_describe(self.kind)[0]}",
             f"f: {self.target}",
             f"size: {self.size}",
             ("verification: PASS " if self.ok else "verification: FAIL ") + self.detail,
@@ -180,7 +170,7 @@ class VerifyReport:
 
 
 def verify_obj(obj) -> VerifyReport:
-    """Re-check an artifact's certificate, reporting instead of raising."""
+    """Re-check an artifact's certificate and claims, reporting instead of raising."""
     kind = artifact_kind(obj)
     target = obj.get("f", "?")
     if kind == "morphism3":
@@ -189,18 +179,9 @@ def verify_obj(obj) -> VerifyReport:
         size = obj.get("size", 0)
     try:
         artifact_from_obj(obj)
-    except CertificateError as exc:
+    except (CertificateError, MorphismError, DimensionError, ContextError, ValueError) as exc:
         return VerifyReport(kind, target, size, False, f"({exc})")
-    except MorphismError as exc:
-        return VerifyReport(kind, target, size, False, f"({exc})")
-    except (DimensionError, ValueError) as exc:
-        return VerifyReport(kind, target, size, False, f"({exc})")
-    details = {
-        "mf2": "(P*Q = f*I exactly)",
-        "mf3": "(A1*A2*A3 = f*I exactly)",
-        "morphism3": "(all three commuting squares hold exactly)",
-    }
-    return VerifyReport(kind, target, size, True, details[kind])
+    return VerifyReport(kind, target, size, True, f"({_describe(kind)[1]} exactly)")
 
 
 # -- aligned text --------------------------------------------------------------
@@ -216,22 +197,9 @@ def format_matrix(m: RatMatrix, indent: str = "  ") -> str:
     return "\n".join(lines)
 
 
-def format_mf2(x: MF2) -> str:
+def format_factorization(x: Factorization) -> str:
     parts = [
-        f"2-matrix factorization of f = {x.target}",
-        f"size: {x.size}x{x.size}",
-        "P =",
-        format_matrix(x.P),
-        "Q =",
-        format_matrix(x.Q),
-        "certificate: P*Q = f*I holds exactly",
-    ]
-    return "\n".join(parts) + "\n"
-
-
-def format_mf3(x: MF3) -> str:
-    parts = [
-        f"3-matrix factorization of f = {x.target}",
+        f"{len(x.names)}-matrix factorization of f = {x.target}",
         f"size: {x.size}x{x.size}",
     ]
     if x.provenance is not None:
@@ -240,23 +208,8 @@ def format_mf3(x: MF3) -> str:
             f"method: {p.method}, decomposed: {p.decomposed} factor, "
             f"pivoted: {'yes' if p.pivoted else 'no'}"
         )
-    for name, m in zip(("A1", "A2", "A3"), x.components):
+    for name, m in zip(x.names, x.components):
         parts.append(f"{name} =")
         parts.append(format_matrix(m))
-    parts.append("certificate: A1*A2*A3 = f*I holds exactly")
-    return "\n".join(parts) + "\n"
-
-
-def format_morphism(m: Morphism3) -> str:
-    parts = [
-        f"morphism of 3-matrix factorizations of f = {m.source.target}",
-        f"shape: {m.target.size}x{m.source.size} components",
-        "alpha =",
-        format_matrix(m.alpha),
-        "beta =",
-        format_matrix(m.beta),
-        "delta =",
-        format_matrix(m.delta),
-        "certificate: all three commuting squares hold exactly",
-    ]
+    parts.append(f"certificate: {'*'.join(x.names)} = f*I holds exactly")
     return "\n".join(parts) + "\n"
