@@ -25,7 +25,8 @@ class UnknownVariableError(ParseError):
 
 
 class DimensionError(PolymfError):
-    """Matrix shapes are incompatible with the requested operation."""
+    """Matrix shapes are incompatible with the requested operation, or differ
+    from what an artifact claims (its size, or the LU shape of its provenance)."""
 
 
 class CertificateError(PolymfError):

@@ -37,10 +37,10 @@ class Factorization:
     right, ((C1*C2)*C3)*..., and is labelled by the joined names ("P*Q").
     """
 
-    __slots__ = ("_components", "_target", "provenance")
+    __slots__ = ("_components", "_target")
     names: tuple[str, ...] = ()
 
-    def __init__(self, components: tuple, target: Polynomial, provenance=None):
+    def __init__(self, components: tuple, target: Polynomial):
         shapes = [m.shape for m in components]
         if not (components[0].is_square and len(set(shapes)) == 1):
             separator = " and " if len(shapes) == 2 else ", "
@@ -55,7 +55,6 @@ class Factorization:
         check_product_is_scalar("*".join(self.names), product, target)
         self._components = components
         self._target = target
-        self.provenance = provenance
 
     @property
     def components(self) -> tuple[RatMatrix, ...]:

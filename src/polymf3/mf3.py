@@ -40,7 +40,7 @@ class MF3(Factorization):
     A provenance, when given, must match the LU split the matrices show.
     """
 
-    __slots__ = ()
+    __slots__ = ("provenance",)
     names = ("A1", "A2", "A3")
 
     def __init__(
@@ -51,9 +51,10 @@ class MF3(Factorization):
         target: Polynomial,
         provenance: Provenance | None = None,
     ):
-        super().__init__((A1, A2, A3), target, provenance)
+        super().__init__((A1, A2, A3), target)
         if provenance is not None:
             _check_provenance(self, provenance)
+        self.provenance = provenance
 
     @property
     def A1(self) -> RatMatrix:
@@ -69,28 +70,28 @@ class MF3(Factorization):
 
 
 def _check_provenance(x: MF3, p: Provenance):
-    """Raise ValueError unless the L, U pair of x ((A1, A2) or (A2, A3)) has the
-    shape of the LU split that p names."""
+    """Raise DimensionError unless the L, U pair of x ((A1, A2) or (A2, A3)) has
+    the shape of the LU split that p names."""
     if p.method not in _METHODS:
-        raise ValueError(f"provenance method {p.method!r} is not doolittle or crout")
+        raise DimensionError(f"provenance method {p.method!r} is not doolittle or crout")
     if p.decomposed not in _WHICH:
-        raise ValueError(f"provenance decomposed {p.decomposed!r} is not first or second")
+        raise DimensionError(f"provenance decomposed {p.decomposed!r} is not first or second")
     k = _WHICH.index(p.decomposed)
     l_name, u_name = x.names[k : k + 2]
     L, U = x.components[k : k + 2]
     n = x.size
     claim = f"provenance claims {p.method} on the {p.decomposed} factor, but"
     if any(not U[i, j].is_zero for i in range(n) for j in range(i)):
-        raise ValueError(f"{claim} {u_name} is not upper triangular")
+        raise DimensionError(f"{claim} {u_name} is not upper triangular")
     if p.method == CROUT and not all(U[i, i].is_one for i in range(n)):
-        raise ValueError(f"{claim} {u_name} has a non-unit diagonal")
+        raise DimensionError(f"{claim} {u_name} has a non-unit diagonal")
     # the column of each row's last nonzero entry: L's diagonal, rows permuted if pivoted
     last = [max((j for j in range(n) if not L[i, j].is_zero), default=-1) for i in range(n)]
     if (sorted(last) if p.pivoted else last) != list(range(n)):
         permuted = " up to a row permutation" if p.pivoted else ""
-        raise ValueError(f"{claim} {l_name} is not lower triangular{permuted}")
+        raise DimensionError(f"{claim} {l_name} is not lower triangular{permuted}")
     if p.method == DOOLITTLE and not all(L[i, last[i]].is_one for i in range(n)):
-        raise ValueError(f"{claim} {l_name} has a non-unit diagonal")
+        raise DimensionError(f"{claim} {l_name} has a non-unit diagonal")
 
 
 @dataclass(frozen=True)

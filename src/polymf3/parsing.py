@@ -13,10 +13,9 @@ INT '/' INT is a rational literal. There is no division operator: a '/'
 is only consumed between two integer literals.
 
 Hostile input ends in a ParseError at three limits: parentheses and unary
-minus nest at most MAX_NESTING deep, exponents are at most MAX_EXPONENT, and
-expanding one product (its factors' term counts multiplied) or power (base^e
-as base^(e//2) times base^(e - e//2), where a t-term base^k has at most
-C(t+k-1, k) terms) takes at most MAX_TERM_PRODUCTS term products.
+minus nest at most MAX_NESTING deep, and expanding one product or power takes
+at most MAX_TERM_PRODUCTS term products and reaches at most an estimated
+MAX_COEFFICIENT_BITS per coefficient. Exponents are not bounded themselves.
 """
 
 from __future__ import annotations
@@ -41,8 +40,15 @@ class _Token:
 _OPS = set("+-*^/()")
 
 MAX_NESTING = 100
-MAX_EXPONENT = 1000
 MAX_TERM_PRODUCTS = 10_000
+MAX_COEFFICIENT_BITS = 100_000
+
+
+def _growth_bits(p: Polynomial) -> int:
+    """Estimated bits factor p adds to a product's coefficients: its largest
+    coefficient's numerator and denominator bits, plus its term count's bits."""
+    bits = [c.numerator.bit_length() + c.denominator.bit_length() - 2 for c in p.terms().values()]
+    return max(bits, default=0) + max(len(p) - 1, 0).bit_length()
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -105,10 +111,14 @@ class _Parser:
     def fail(self, message):
         raise ParseError(message, self.text, self.peek().pos)
 
-    def check_expansion(self, term_products: int, pos: int):
+    def check_expansion(self, term_products: int, coefficient_bits: int, pos: int):
         if term_products > MAX_TERM_PRODUCTS:
             raise ParseError(
                 f"expansion needs more than {MAX_TERM_PRODUCTS} term products", self.text, pos
+            )
+        if coefficient_bits > MAX_COEFFICIENT_BITS:
+            raise ParseError(
+                f"coefficients may exceed {MAX_COEFFICIENT_BITS} bits", self.text, pos
             )
 
     # -- grammar rules ---------------------------------------------------
@@ -129,11 +139,13 @@ class _Parser:
         """The factors of one product, unexpanded."""
         factors = [self.factor()]
         term_products = len(factors[0])
+        coefficient_bits = _growth_bits(factors[0])
         while self.at_op("*"):
             pos = self.advance().pos
             factors.append(self.factor())
             term_products *= len(factors[-1])
-            self.check_expansion(term_products, pos)
+            coefficient_bits += _growth_bits(factors[-1])
+            self.check_expansion(term_products, coefficient_bits, pos)
         return factors
 
     def factor(self) -> Polynomial:
@@ -157,11 +169,10 @@ class _Parser:
         if tok.kind != "INT":
             raise ParseError("expected an integer exponent", self.text, tok.pos)
         exponent = int(tok.value)
-        if exponent > MAX_EXPONENT:
-            raise ParseError(f"exponent exceeds {MAX_EXPONENT}", self.text, tok.pos)
+        # base^e is base^(e//2) * base^(e - e//2); a t-term base^k has <= C(t+k-1, k) terms
         half = exponent // 2
         bounds = [comb(max(len(base) - 1, 0) + k, k) for k in (half, exponent - half)]
-        self.check_expansion(bounds[0] * bounds[1], tok.pos)
+        self.check_expansion(bounds[0] * bounds[1], exponent * _growth_bits(base), tok.pos)
         return base ** exponent
 
     def atom(self) -> Polynomial:

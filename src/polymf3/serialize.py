@@ -55,7 +55,7 @@ def factorization_to_obj(x: Factorization) -> dict:
 
 
 def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
-    """Load and re-certify a factorization of class cls, checking its size claim."""
+    """Load and re-certify a factorization of class cls, checking its size claim if any."""
     ctx = _context_from_obj(obj)
     f = parse_polynomial(obj["f"], ctx)
     args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
@@ -64,7 +64,7 @@ def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
         if p is not None:
             args.append(Provenance(p["method"], p["decomposed"], bool(p["pivoted"])))
     x = cls(*args)
-    if obj["size"] != x.size:
+    if "size" in obj and obj["size"] != x.size:
         raise DimensionError(
             f"artifact claims size {obj['size']}, but its matrices are {x.size}x{x.size}"
         )
@@ -113,7 +113,7 @@ def artifact_to_obj(artifact) -> dict:
 
 
 # JSON kind -> factorization class, recognized by the first component's key
-_FACTORIZATIONS = {f"mf{len(cls.names)}": cls for cls in (MF3, MF2)}
+_FACTORIZATIONS = {"mf3": MF3, "mf2": MF2}
 
 
 def artifact_kind(obj) -> str:
@@ -202,7 +202,7 @@ def format_factorization(x: Factorization) -> str:
         f"{len(x.names)}-matrix factorization of f = {x.target}",
         f"size: {x.size}x{x.size}",
     ]
-    if x.provenance is not None:
+    if isinstance(x, MF3) and x.provenance is not None:
         p = x.provenance
         parts.append(
             f"method: {p.method}, decomposed: {p.decomposed} factor, "

@@ -7,7 +7,7 @@ import pytest
 
 from polymf3 import MF2, Morphism3, RatMatrix, VarContext, promote
 from polymf3.cli import main
-from polymf3.parsing import MAX_NESTING
+from polymf3.parsing import MAX_COEFFICIENT_BITS, MAX_NESTING
 from polymf3.serialize import morphism_to_obj, to_json
 
 SQUARES = ["factor3", "x^2 + y^2", "--splits", "x*x + y*y", "--format", "json"]
@@ -53,6 +53,23 @@ def test_verify_fails_a_false_claim(tmp_path, capsys, change, reason):
     assert last.startswith("verification: FAIL (") and reason in last
 
 
+def test_verify_accepts_an_artifact_without_size(tmp_path, capsys):
+    path, obj = stored(capsys, tmp_path, SQUARES)
+    del obj["size"]
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and "verification: PASS" in out
+
+
+def test_tensor3_fails_a_false_provenance_with_exit_1(tmp_path, capsys):
+    path, obj = stored(capsys, tmp_path, SQUARES)
+    obj.update(provenance(method="crout"))
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "tensor3", str(path), str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: provenance claims crout") and err.count("\n") == 1
+
+
 def test_verify_fails_an_unrecorded_pivot(tmp_path, capsys):
     path, obj = stored(capsys, tmp_path, ZERO_PIVOT)
     assert run(capsys, "verify", str(path))[0] == 0
@@ -87,11 +104,16 @@ def test_verify_reports_a_context_mismatch(tmp_path, capsys):
     [
         ("(" * 2000 + "x" + ")" * 2000, f"nested more than {MAX_NESTING} levels deep"),
         ("0" + "-" * 3000 + "x", f"nested more than {MAX_NESTING} levels deep"),
-        ("(x+y)^100000", "exponent exceeds"),
+        ("(x+y)^100000", "expansion needs more than"),
         ("(x+y)^500", "expansion needs more than"),
         ("*".join(f"(a{i}+b{i})" for i in range(20)), "expansion needs more than"),
+        ("((2^1000)^1000)^1000", f"coefficients may exceed {MAX_COEFFICIENT_BITS} bits"),
+        ("2^60000*2^60000", f"coefficients may exceed {MAX_COEFFICIENT_BITS} bits"),
     ],
-    ids=["parentheses", "minus-signs", "exponent", "power-expansion", "product-expansion"],
+    ids=[
+        "parentheses", "minus-signs", "large-power", "power-expansion", "product-expansion",
+        "nested-constant-powers", "constant-product",
+    ],
 )
 def test_hostile_expression_exits_2_quickly(capsys, expr, reason):
     start = time.monotonic()
@@ -105,3 +127,20 @@ def test_nesting_below_the_limit_parses(capsys):
     depth = MAX_NESTING - 1
     code, out, _ = run(capsys, "factor2", "(" * depth + "x*y" + ")" * depth)
     assert code == 0 and "2-matrix factorization of f = x*y" in out
+
+
+@pytest.mark.parametrize(
+    "expr", ["x^1000*x^1000", "x^99999999999999999999", "x^600*y + x*y^700"]
+)
+def test_high_degree_artifacts_verify_and_tensor(tmp_path, capsys, expr):
+    # exponents alone are not bounded, so whatever factor2/factor3 writes loads again
+    path = tmp_path / "f2.json"
+    assert main(["factor2", expr, "--format", "json", "--out", str(path)]) == 0
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and "verification: PASS" in out
+    path3 = tmp_path / "f3.json"
+    assert main(["factor3", expr, "--format", "json", "--out", str(path3)]) == 0
+    product = tmp_path / "t.json"
+    assert main(["tensor3", str(path3), str(path3), "--format", "json", "--out", str(product)]) == 0
+    code, out, _ = run(capsys, "verify", str(product))
+    assert code == 0 and "verification: PASS" in out
