@@ -15,7 +15,7 @@ from .category import (
     tensor3_morphism,
     violated_equation,
 )
-from .context import Variable, VarContext
+from .context import VarContext
 from .errors import (
     CertificateError,
     ContextError,
@@ -75,7 +75,6 @@ __all__ = [
     "TermSplit",
     "UnknownVariableError",
     "VarContext",
-    "Variable",
     "add_factorizations",
     "commutativity_witness",
     "default_splits",

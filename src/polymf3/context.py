@@ -3,17 +3,10 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ContextError
 
 _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
-
-
-@dataclass(frozen=True)
-class Variable:
-    name: str
-    index: int
 
 
 class VarContext:
@@ -44,10 +37,6 @@ class VarContext:
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
-
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(Variable(n, i) for i, n in enumerate(self._names))
 
     def __len__(self):
         return len(self._names)

@@ -51,11 +51,7 @@ class RatMatrix:
 
     @classmethod
     def identity(cls, ctx: VarContext, n: int) -> RatMatrix:
-        one = RationalFunction.one(ctx)
-        zero = RationalFunction.zero(ctx)
-        return cls(
-            ctx, n, n, [one if i == j else zero for i in range(n) for j in range(n)]
-        )
+        return cls.scalar(ctx, n, 1)
 
     @classmethod
     def zeros(cls, ctx: VarContext, rows: int, cols: int) -> RatMatrix:
@@ -280,13 +276,7 @@ class PermutationMatrix:
         return PermutationMatrix(inverse)
 
     def to_matrix(self, ctx: VarContext) -> RatMatrix:
-        one = RationalFunction.one(ctx)
-        zero = RationalFunction.zero(ctx)
-        n = len(self._image)
-        entries = [zero] * (n * n)
-        for i, v in enumerate(self._image):
-            entries[i * n + v] = one
-        return RatMatrix(ctx, n, n, entries)
+        return self.apply_rows(RatMatrix.identity(ctx, len(self._image)))
 
     def apply_rows(self, m: RatMatrix) -> RatMatrix:
         """Left multiplication: row i of the result is row image[i] of m."""

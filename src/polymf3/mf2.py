@@ -20,6 +20,10 @@ from .errors import CertificateError, ContextError, DimensionError
 from .matrix import RatMatrix, first_difference
 from .poly import Monomial, Polynomial
 
+# standard_method builds a size 2^(k-1) factorization from k summands; at
+# k = 9 (size 256) that already takes seconds, and each summand more ~3-4x
+MAX_SPLITS = 8
+
 
 def check_product_is_scalar(label: str, product: RatMatrix, f: Polynomial):
     """Raise CertificateError at the first entry where product != f*I."""
@@ -220,8 +224,14 @@ def standard_method(f: Polynomial, splits: list[TermSplit] | None = None) -> MF2
     """Factor f presented as a sum of products, doubling size per summand.
 
     With splits=None each graded-lex term of f is split by the default rule.
-    Explicit splits must multiply and sum back to f exactly.
+    Explicit splits must multiply and sum back to f exactly. At most
+    MAX_SPLITS summands are accepted.
     """
+    count = len(f) if splits is None else len(splits)
+    if count > MAX_SPLITS:
+        raise ValueError(
+            f"{count} summands would give size 2^{count - 1}; at most {MAX_SPLITS} are supported"
+        )
     if splits is None:
         if f.is_zero:
             raise ValueError(

@@ -1,7 +1,10 @@
 """Sparse multivariate polynomials over the rationals.
 
 Terms map monomials to nonzero Fraction coefficients; the zero polynomial
-has no terms. All values are immutable after construction. The term order
+has no terms. All values are immutable after construction. The public
+constructor cleans outside input (coerces, merges and drops zero
+coefficients, checks variable indices); arithmetic builds its results,
+already clean, through the trusted Polynomial._raw. The term order
 everywhere (leading terms, printing, leading-coefficient normalization)
 is graded-lexicographic with respect to the owning variable context.
 """
@@ -162,12 +165,20 @@ class Polynomial:
     # -- construction ----------------------------------------------------
 
     @classmethod
+    def _raw(cls, context: VarContext, terms: dict) -> Polynomial:
+        """Wrap a term dict that is already clean: nonzero Fractions, indices in context."""
+        out = cls.__new__(cls)
+        out._ctx = context
+        out._terms = terms
+        return out
+
+    @classmethod
     def zero(cls, context: VarContext) -> Polynomial:
-        return cls(context)
+        return cls._raw(context, {})
 
     @classmethod
     def one(cls, context: VarContext) -> Polynomial:
-        return cls(context, {_ONE_MONOMIAL: Fraction(1)})
+        return cls._raw(context, {_ONE_MONOMIAL: Fraction(1)})
 
     @classmethod
     def constant(cls, context: VarContext, value) -> Polynomial:
@@ -190,7 +201,8 @@ class Polynomial:
 
     @property
     def is_one(self) -> bool:
-        return self._terms == {_ONE_MONOMIAL: Fraction(1)}
+        t = self._terms
+        return len(t) == 1 and t.get(_ONE_MONOMIAL) == 1
 
     @property
     def is_constant(self) -> bool:
@@ -265,18 +277,12 @@ class Polynomial:
                 merged[mono] = total
             else:
                 merged.pop(mono, None)
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = merged
-        return out
+        return Polynomial._raw(self._ctx, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return Polynomial._raw(self._ctx, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -307,10 +313,7 @@ class Polynomial:
                     product[mono] = total
                 elif acc is not None:
                     del product[mono]
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = product
-        return out
+        return Polynomial._raw(self._ctx, product)
 
     __rmul__ = __mul__
 
@@ -338,19 +341,13 @@ class Polynomial:
         """Multiply by a single term coeff*mono."""
         if not coeff:
             return Polynomial.zero(self._ctx)
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = {m * mono: c * coeff for m, c in self._terms.items()}
-        return out
+        return Polynomial._raw(self._ctx, {m * mono: c * coeff for m, c in self._terms.items()})
 
     def scale(self, coeff) -> Polynomial:
         coeff = Fraction(coeff)
         if not coeff:
             return Polynomial.zero(self._ctx)
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = {m: c * coeff for m, c in self._terms.items()}
-        return out
+        return Polynomial._raw(self._ctx, {m: c * coeff for m, c in self._terms.items()})
 
     def monic(self) -> Polynomial:
         """Scale so the graded-lex leading coefficient is 1."""
@@ -374,10 +371,7 @@ class Polynomial:
                 if not dm.divides(m):
                     return None
                 quotient[m.div(dm)] = c / dc
-            out = Polynomial.__new__(Polynomial)
-            out._ctx = self._ctx
-            out._terms = quotient
-            return out
+            return Polynomial._raw(self._ctx, quotient)
         dm, dc = divisor.leading_term()
         quotient: dict[Monomial, Fraction] = {}
         rest = self
@@ -389,10 +383,7 @@ class Polynomial:
             qc = rc / dc
             quotient[qm] = qc
             rest = rest - divisor.mul_term(qm, qc)
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = quotient
-        return out
+        return Polynomial._raw(self._ctx, quotient)
 
     def exact_div(self, divisor: Polynomial) -> Polynomial:
         q = self.try_exact_div(divisor)
@@ -413,10 +404,7 @@ class Polynomial:
         m = self.monomial_content()
         if m.is_one():
             return m, self
-        out = Polynomial.__new__(Polynomial)
-        out._ctx = self._ctx
-        out._terms = {mono.div(m): c for mono, c in self._terms.items()}
-        return m, out
+        return m, Polynomial._raw(self._ctx, {mono.div(m): c for mono, c in self._terms.items()})
 
     # -- evaluation, equality, printing ----------------------------------
 

@@ -1,7 +1,9 @@
 """The fraction field: reduced quotients of polynomials.
 
 Canonical form: gcd(num, den) = 1, den has graded-lex leading coefficient 1,
-and zero is 0/1. Equality is therefore structural.
+and zero is 0/1. Equality is therefore structural. The constructor reduces
+any num/den to this form; operations whose results are already coprime build
+them through RationalFunction._raw after the one monic step, _monic.
 """
 
 from __future__ import annotations
@@ -11,6 +13,14 @@ from fractions import Fraction
 from .context import VarContext, same_context
 from .errors import ContextError
 from .poly import Polynomial, gcd
+
+
+def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
+    """Scale num/den so den has graded-lex leading coefficient 1."""
+    lc = den.leading_coefficient()
+    if lc == 1:
+        return num, den
+    return num.scale(1 / lc), den.scale(1 / lc)
 
 
 class RationalFunction:
@@ -29,10 +39,7 @@ class RationalFunction:
             if not g.is_one:
                 num = num.exact_div(g)
                 den = den.exact_div(g)
-            lc = den.leading_coefficient()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+            num, den = _monic(num, den)
         self._num = num
         self._den = den
 
@@ -96,11 +103,7 @@ class RationalFunction:
     # -- field operations --------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, RationalFunction):
-            if other.context != self.context:
-                raise ContextError("rational functions from different contexts")
-            return other
-        if isinstance(other, (Polynomial, int, Fraction)):
+        if isinstance(other, (RationalFunction, Polynomial, int, Fraction)):
             return RationalFunction.from_value(self.context, other)
         return None
 
@@ -131,11 +134,7 @@ class RationalFunction:
                 den = den.exact_div(h)
         if num.is_zero:
             return RationalFunction.zero(self.context)
-        lc = den.leading_coefficient()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RationalFunction._raw(num, den)
+        return RationalFunction._raw(*_monic(num, den))
 
     __radd__ = __add__
 
@@ -168,23 +167,14 @@ class RationalFunction:
         g2 = gcd(other._num, self._den)
         num = self._num.exact_div(g1) * other._num.exact_div(g2)
         den = self._den.exact_div(g2) * other._den.exact_div(g1)
-        lc = den.leading_coefficient()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RationalFunction._raw(num, den)
+        return RationalFunction._raw(*_monic(num, den))
 
     __rmul__ = __mul__
 
     def inverse(self) -> RationalFunction:
         if self.is_zero:
             raise ZeroDivisionError("inverse of the zero rational function")
-        num, den = self._den, self._num
-        lc = den.leading_coefficient()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RationalFunction._raw(num, den)
+        return RationalFunction._raw(*_monic(self._den, self._num))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -203,14 +193,8 @@ class RationalFunction:
             return NotImplemented
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        result = RationalFunction.one(self.context)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base if exponent > 1 else base
-            exponent >>= 1
-        return result
+        # powers of coprime parts stay coprime and a monic power stays monic
+        return RationalFunction._raw(self._num**exponent, self._den**exponent)
 
     # -- equality and display ------------------------------------------------
 
@@ -233,15 +217,10 @@ class RationalFunction:
     def in_context(self, new_ctx: VarContext) -> RationalFunction:
         if new_ctx == self.context:
             return self
-        num = self._num.in_context(new_ctx)
-        den = self._den.in_context(new_ctx)
         # renaming preserves coprimality; only the monic normalization can change
-        if not den.is_zero and not num.is_zero:
-            lc = den.leading_coefficient()
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
-        return RationalFunction._raw(num, den)
+        return RationalFunction._raw(
+            *_monic(self._num.in_context(new_ctx), self._den.in_context(new_ctx))
+        )
 
     @staticmethod
     def _atomic(p: Polynomial) -> bool:

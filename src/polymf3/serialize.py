@@ -39,6 +39,8 @@ def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
 
 
 def _context_from_obj(obj) -> VarContext:
+    if not isinstance(obj, dict):
+        raise ParseError("malformed artifact: nested artifact is not a JSON object")
     names = obj.get("vars")
     if names is None:
         raise ParseError("malformed artifact: missing 'vars'")
@@ -173,10 +175,8 @@ def verify_obj(obj) -> VerifyReport:
     """Re-check an artifact's certificate and claims, reporting instead of raising."""
     kind = artifact_kind(obj)
     target = obj.get("f", "?")
-    if kind == "morphism3":
-        size = obj.get("target", {}).get("size", 0)
-    else:
-        size = obj.get("size", 0)
+    nested = obj.get("target") if kind == "morphism3" else obj
+    size = nested.get("size", 0) if isinstance(nested, dict) else 0
     try:
         artifact_from_obj(obj)
     except (CertificateError, MorphismError, DimensionError, ContextError, ValueError) as exc:

@@ -58,6 +58,7 @@ def _cases() -> dict[str, list[str]]:
     for name in [n for n in cases if n.endswith(".json")]:
         cases[f"verify-{name[:-5]}.txt"] = ["verify", str(GOLDEN / name)]
     cases["laws-seed2-cases6.txt"] = ["laws", "--seed", "2", "--cases", "6"]
+    cases["demo.txt"] = ["demo"]
     return cases
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from polymf3 import MF2, Morphism3, RatMatrix, VarContext, promote
 from polymf3.cli import main
+from polymf3.mf2 import MAX_SPLITS
 from polymf3.parsing import MAX_COEFFICIENT_BITS, MAX_NESTING
 from polymf3.serialize import morphism_to_obj, to_json
 
@@ -80,7 +81,7 @@ def test_verify_fails_an_unrecorded_pivot(tmp_path, capsys):
     assert "A1 is not lower triangular)" in out
 
 
-def test_verify_reports_a_context_mismatch(tmp_path, capsys):
+def identity_morphism_obj() -> dict:
     ctx = VarContext("x y")
     x, y = ctx.gens()
     pair = MF2(
@@ -88,7 +89,11 @@ def test_verify_reports_a_context_mismatch(tmp_path, capsys):
         RatMatrix.from_rows(ctx, [[x, y], [-y, x]]),
         x**2 + y**2,
     )
-    obj = morphism_to_obj(Morphism3.identity(promote(pair)))
+    return morphism_to_obj(Morphism3.identity(promote(pair)))
+
+
+def test_verify_reports_a_context_mismatch(tmp_path, capsys):
+    obj = identity_morphism_obj()
     obj["vars"] = ["x", "y", "z"]
     path = tmp_path / "m.json"
     path.write_text(to_json(obj))
@@ -97,6 +102,17 @@ def test_verify_reports_a_context_mismatch(tmp_path, capsys):
     assert out.splitlines()[-1] == (
         "verification: FAIL (matrices from different variable contexts)"
     )
+
+
+@pytest.mark.parametrize("key", ["source", "target"])
+def test_morphism_with_a_non_object_factorization_exits_2(tmp_path, capsys, key):
+    obj = identity_morphism_obj()
+    obj[key] = [1]
+    path = tmp_path / "m.json"
+    path.write_text(to_json(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: malformed artifact: nested artifact is not a JSON object\n"
 
 
 @pytest.mark.parametrize(
@@ -109,10 +125,13 @@ def test_verify_reports_a_context_mismatch(tmp_path, capsys):
         ("*".join(f"(a{i}+b{i})" for i in range(20)), "expansion needs more than"),
         ("((2^1000)^1000)^1000", f"coefficients may exceed {MAX_COEFFICIENT_BITS} bits"),
         ("2^60000*2^60000", f"coefficients may exceed {MAX_COEFFICIENT_BITS} bits"),
+        ("(x+y)^150", f"151 summands would give size 2^150; at most {MAX_SPLITS}"),
+        ("*".join(f"(a{i}+b{i})" for i in range(13)), f"at most {MAX_SPLITS} are supported"),
     ],
     ids=[
         "parentheses", "minus-signs", "large-power", "power-expansion", "product-expansion",
-        "nested-constant-powers", "constant-product",
+        "nested-constant-powers", "constant-product", "binomial-power-splits",
+        "binomial-product-splits",
     ],
 )
 def test_hostile_expression_exits_2_quickly(capsys, expr, reason):
