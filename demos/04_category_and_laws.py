@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 # The category of 3-matrix factorizations and the tensor-product laws.
 #
-# Fix a target polynomial f. The factorizations of f form a category: a
-# morphism (phi1, psi1, theta1) -> (phi2, psi2, theta2) is a triple of
-# matrices (alpha, beta, delta) making three squares commute, composition is
-# componentwise, and identity triples are identities. tensor3 acts on
-# morphisms too (componentwise Kronecker), and that action respects identity
-# and composition: it is a bifunctor.
+# Fix a target polynomial f. The factorizations (C_0, ..., C_{n-1}) of f form
+# a category: a morphism to (C'_0, ..., C'_{n-1}) is a tuple of matrices
+# (m_0, ..., m_{n-1}) with m_i*C_i = C'_i*m_{i+1 mod n} for every i. For
+# pairs (n = 2) these are the usual morphisms of matrix factorizations; for
+# triples (phi1, psi1, theta1) -> (phi2, psi2, theta2) they are the triples
+# (alpha, beta, delta) of Morphism3, making three squares commute.
+# Composition is componentwise, and identity tuples are identities. tensor3
+# acts on morphisms too (componentwise Kronecker), and that action respects
+# identity and composition: it is a bifunctor.
 
 import random
 

@@ -9,6 +9,7 @@ certified by its defining matrix identity.
 """
 
 from .category import (
+    Morphism,
     Morphism3,
     commutativity_witness,
     tensor3,
@@ -61,6 +62,7 @@ __all__ = [
     "MF2",
     "MF3",
     "Monomial",
+    "Morphism",
     "Morphism3",
     "MorphismError",
     "ParseError",

@@ -1,137 +1,141 @@
-"""The category of 3-matrix factorizations of a fixed polynomial.
+"""The category of matrix factorizations of a fixed polynomial.
 
-Objects are certified MF3 triples (phi, psi, theta). A morphism from
-(phi1, psi1, theta1) to (phi2, psi2, theta2), both of target f, is a
-triplet (alpha, beta, delta) of n2 x n1 matrices satisfying
+Objects are certified factorizations (C_0, ..., C_{n-1}) of f, pairs (MF2)
+or triples (MF3). A morphism to (C'_0, ..., C'_{n-1}), also of target f, is
+a tuple (m_0, ..., m_{n-1}) of n2 x n1 matrices with, for every i,
 
-    alpha @ phi1 == phi2 @ beta
-    psi2 @ delta == beta @ psi1
-    delta @ theta1 == theta2 @ alpha
+    m_i @ C_i == C'_i @ m_{i+1 mod n}
 
-Composition is componentwise matrix product; identities are identity
-triples. tensor3 is the multiplicative tensor product: the componentwise
-Kronecker product, which takes factorizations of f and g to one of f*g,
-and acts on morphisms the same way, making it a bifunctor.
+For n = 2 these are the usual morphisms of matrix factorizations (Eisenbud
+1980); Morphism3 names the n = 3 components (alpha, beta, delta) and its
+squares. Composition is componentwise matrix product; identities are tuples
+of identity matrices. tensor3 is the multiplicative tensor product: the
+componentwise Kronecker product, which takes factorizations of f and g to
+one of f*g, and acts on morphisms the same way, making it a bifunctor.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionError, MorphismError
 from .matrix import PermutationMatrix, RatMatrix, first_difference, perfect_shuffle
+from .mf2 import Factorization
 from .mf3 import MF3
 
 
-def violated_equation(
-    alpha: RatMatrix, beta: RatMatrix, delta: RatMatrix, source: MF3, target: MF3
-) -> tuple[str, int, int] | None:
-    """The first failing commuting-square equation, or None when all hold."""
-    phi1, psi1, theta1 = source.components
-    phi2, psi2, theta2 = target.components
-    checks = (
-        ("alpha*phi1 = phi2*beta", alpha @ phi1, phi2 @ beta),
-        ("psi2*delta = beta*psi1", psi2 @ delta, beta @ psi1),
-        ("delta*theta1 = theta2*alpha", delta @ theta1, theta2 @ alpha),
-    )
-    for name, lhs, rhs in checks:
-        spot = first_difference(lhs, rhs)
+def violated_equation(*args) -> tuple[str, int, int] | None:
+    """The first failing square m_i*C_i = C'_i*m_{i+1 mod n}, or None when all hold.
+
+    Call as violated_equation(*components, source, target). A triple's squares
+    carry Morphism3's labels; other lengths are labelled by component index.
+    """
+    *components, source, target = args
+    n = len(components)
+    for i in range(n):
+        lhs = components[i] @ source.components[i]
+        spot = first_difference(lhs, target.components[i] @ components[(i + 1) % n])
         if spot is not None:
-            return name, spot[0], spot[1]
+            label = Morphism3.equations[i] if n == 3 else f"m{i}*C{i} = C'{i}*m{(i + 1) % n}"
+            return label, spot[0], spot[1]
     return None
 
 
-class Morphism3:
-    """A certified morphism (alpha, beta, delta) between two MF3 objects."""
+class Morphism:
+    """A morphism between two factorizations of one polynomial, its squares
+    checked on construction. Subclasses may name the components (else m0, m1, ...)."""
 
-    __slots__ = ("_source", "_target", "_alpha", "_beta", "_delta")
+    __slots__ = ("_source", "_target", "_components")
+    names: tuple[str, ...] = ()
 
-    def __init__(
-        self,
-        source: MF3,
-        target: MF3,
-        alpha: RatMatrix,
-        beta: RatMatrix,
-        delta: RatMatrix,
-    ):
+    def __init__(self, source: Factorization, target: Factorization, *components: RatMatrix):
         if source.target != target.target:
             raise ValueError(
                 f"source and target factor different polynomials: "
                 f"{source.target} vs {target.target}"
             )
+        n = len(components)
+        if {len(source.components), len(target.components)} != {n}:
+            raise DimensionError(f"{n} components cannot map {source!r} to {target!r}")
         want = (target.size, source.size)
-        for name, m in (("alpha", alpha), ("beta", beta), ("delta", delta)):
+        for i, m in enumerate(components):
             if m.shape != want:
                 raise DimensionError(
-                    f"{name} must be {want[0]}x{want[1]}, got {m.shape[0]}x{m.shape[1]}"
+                    f"{self.names[i] if self.names else f'm{i}'} must be "
+                    f"{want[0]}x{want[1]}, got {m.shape[0]}x{m.shape[1]}"
                 )
-        bad = violated_equation(alpha, beta, delta, source, target)
+        bad = violated_equation(*components, source, target)
         if bad is not None:
             raise MorphismError(*bad)
         self._source = source
         self._target = target
-        self._alpha = alpha
-        self._beta = beta
-        self._delta = delta
+        self._components = components
 
     @classmethod
-    def identity(cls, X: MF3) -> Morphism3:
-        i = RatMatrix.identity(X.context, X.size)
-        return cls(X, X, i, i, i)
+    def identity(cls, X: Factorization) -> Morphism:
+        return cls(X, X, *[RatMatrix.identity(X.context, X.size)] * len(X.components))
 
     @property
-    def source(self) -> MF3:
+    def source(self) -> Factorization:
         return self._source
 
     @property
-    def target(self) -> MF3:
+    def target(self) -> Factorization:
         return self._target
 
     @property
-    def alpha(self) -> RatMatrix:
-        return self._alpha
+    def components(self) -> tuple[RatMatrix, ...]:
+        return self._components
 
-    @property
-    def beta(self) -> RatMatrix:
-        return self._beta
-
-    @property
-    def delta(self) -> RatMatrix:
-        return self._delta
-
-    @property
-    def components(self) -> tuple[RatMatrix, RatMatrix, RatMatrix]:
-        return self._alpha, self._beta, self._delta
-
-    def compose(self, inner: Morphism3) -> Morphism3:
-        """self after inner: (a2*a1, b2*b1, d2*d1)."""
+    def compose(self, inner: Morphism) -> Morphism:
+        """self after inner: componentwise products (m2_i * m1_i)."""
         if inner._target != self._source:
             raise ValueError("codomain of the inner morphism must match this domain")
-        return Morphism3(
-            inner._source,
-            self._target,
-            self._alpha @ inner._alpha,
-            self._beta @ inner._beta,
-            self._delta @ inner._delta,
-        )
+        products = (a @ b for a, b in zip(self._components, inner._components))
+        return type(self)(inner._source, self._target, *products)
 
-    def __matmul__(self, inner: Morphism3) -> Morphism3:
-        if not isinstance(inner, Morphism3):
+    def __matmul__(self, inner: Morphism) -> Morphism:
+        if not isinstance(inner, Morphism):
             return NotImplemented
         return self.compose(inner)
 
     def __eq__(self, other):
-        if not isinstance(other, Morphism3):
+        if not isinstance(other, Morphism):
             return NotImplemented
         return (
             self._source == other._source
             and self._target == other._target
-            and self.components == other.components
+            and self._components == other._components
         )
 
     def __hash__(self):
-        return hash((self._source, self._target, self.components))
+        return hash((self._source, self._target, self._components))
 
     def __repr__(self):
-        return f"Morphism3({self._source!r} -> {self._target!r})"
+        return f"{type(self).__name__}({self._source!r} -> {self._target!r})"
+
+
+class Morphism3(Morphism):
+    """A certified morphism (alpha, beta, delta) between two MF3 objects."""
+
+    __slots__ = ()
+    names = ("alpha", "beta", "delta")
+    equations = ("alpha*phi1 = phi2*beta", "psi2*delta = beta*psi1", "delta*theta1 = theta2*alpha")
+
+    def __init__(
+        self, source: MF3, target: MF3, alpha: RatMatrix, beta: RatMatrix, delta: RatMatrix
+    ):
+        super().__init__(source, target, alpha, beta, delta)
+
+    @property
+    def alpha(self) -> RatMatrix:
+        return self._components[0]
+
+    @property
+    def beta(self) -> RatMatrix:
+        return self._components[1]
+
+    @property
+    def delta(self) -> RatMatrix:
+        return self._components[2]
 
 
 def tensor3(X: MF3, Y: MF3) -> MF3:
@@ -154,9 +158,7 @@ def tensor3_morphism(mf: Morphism3, mg: Morphism3) -> Morphism3:
     """
     source = tensor3(mf.source, mg.source)
     target = tensor3(mf.target, mg.target)
-    return Morphism3(
-        source, target, *_kron_pairs(mf.components, mg.components, source.context)
-    )
+    return type(mf)(source, target, *_kron_pairs(mf.components, mg.components, source.context))
 
 
 def _kron_pairs(left, right, ctx) -> list[RatMatrix]:

@@ -69,7 +69,7 @@ class StructurallySingularError(PolymfError):
 
 
 class MorphismError(PolymfError):
-    """A morphism triple violates one of its commuting-square equations."""
+    """A morphism violates a commuting square m_i*C_i = C'_i*m_{i+1 mod n}."""
 
     def __init__(self, equation, row, col):
         self.equation = equation

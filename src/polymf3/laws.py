@@ -246,7 +246,7 @@ def case_morphism_closure(rng: random.Random) -> str | None:
     mf = random_scalar_endomorphism(rng, X)
     mg = random_scalar_endomorphism(rng, Y)
     t = tensor3_morphism(mf, mg)  # constructor re-runs the morphism check
-    bad = violated_equation(t.alpha, t.beta, t.delta, t.source, t.target)
+    bad = violated_equation(*t.components, t.source, t.target)
     if bad is not None:
         return f"tensored morphism violates {bad[0]} at [{bad[1]}][{bad[2]}]"
     return None

@@ -59,12 +59,17 @@ def factorization_to_obj(x: Factorization) -> dict:
 def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
     """Load and re-certify a factorization of class cls, checking its size claim if any."""
     ctx = _context_from_obj(obj)
+    if "size" in obj and type(obj["size"]) is not int:
+        raise ParseError(f"malformed artifact: size {json.dumps(obj['size'])} is not an integer")
     f = parse_polynomial(obj["f"], ctx)
     args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
     if cls is MF3:
         p = obj.get("provenance")
         if p is not None:
-            args.append(Provenance(p["method"], p["decomposed"], bool(p["pivoted"])))
+            if type(p["pivoted"]) is not bool:
+                pivoted = json.dumps(p["pivoted"])
+                raise ParseError(f"malformed artifact: pivoted {pivoted} is not true or false")
+            args.append(Provenance(p["method"], p["decomposed"], p["pivoted"]))
     x = cls(*args)
     if "size" in obj and obj["size"] != x.size:
         raise DimensionError(
@@ -82,28 +87,18 @@ def mf3_from_obj(obj) -> MF3:
 
 
 def morphism_to_obj(m: Morphism3) -> dict:
-    return {
-        "f": str(m.source.target),
-        "source": factorization_to_obj(m.source),
-        "target": factorization_to_obj(m.target),
-        "alpha": matrix_to_obj(m.alpha),
-        "beta": matrix_to_obj(m.beta),
-        "delta": matrix_to_obj(m.delta),
-        "vars": list(m.source.context.names),
-    }
+    obj = {"f": str(m.source.target)}
+    obj.update((key, factorization_to_obj(getattr(m, key))) for key in ("source", "target"))
+    obj.update((name, matrix_to_obj(c)) for name, c in zip(Morphism3.names, m.components))
+    obj["vars"] = list(m.source.context.names)
+    return obj
 
 
 def morphism_from_obj(obj) -> Morphism3:
     ctx = _context_from_obj(obj)
-    source = factorization_from_obj(obj["source"], MF3)
-    target = factorization_from_obj(obj["target"], MF3)
-    return Morphism3(
-        source,
-        target,
-        matrix_from_obj(obj["alpha"], ctx),
-        matrix_from_obj(obj["beta"], ctx),
-        matrix_from_obj(obj["delta"], ctx),
-    )
+    source, target = (factorization_from_obj(obj[key], MF3) for key in ("source", "target"))
+    matrices = (matrix_from_obj(obj[name], ctx) for name in Morphism3.names)
+    return Morphism3(source, target, *matrices)
 
 
 def artifact_to_obj(artifact) -> dict:
@@ -114,16 +109,14 @@ def artifact_to_obj(artifact) -> dict:
     raise TypeError(f"cannot serialize {artifact!r}")
 
 
-# JSON kind -> factorization class, recognized by the first component's key
-_FACTORIZATIONS = {"mf3": MF3, "mf2": MF2}
+# JSON kind -> artifact class, recognized by the first component's key
+_KINDS = {"morphism3": Morphism3, "mf3": MF3, "mf2": MF2}
 
 
 def artifact_kind(obj) -> str:
     if not isinstance(obj, dict):
         raise ParseError("malformed artifact: not a JSON object")
-    if "alpha" in obj:
-        return "morphism3"
-    for kind, cls in _FACTORIZATIONS.items():
+    for kind, cls in _KINDS.items():
         if cls.names[0] in obj:
             return kind
     raise ParseError("malformed artifact: unrecognized structure")
@@ -134,7 +127,7 @@ def artifact_from_obj(obj):
     try:
         if kind == "morphism3":
             return morphism_from_obj(obj)
-        return factorization_from_obj(obj, _FACTORIZATIONS[kind])
+        return factorization_from_obj(obj, _KINDS[kind])
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed {kind} artifact: {exc}") from None
 
@@ -150,7 +143,7 @@ def _describe(kind: str) -> tuple[str, str]:
     """(name, identity checked) of an artifact kind, for reports."""
     if kind == "morphism3":
         return "morphism of 3-matrix factorizations", "all three commuting squares hold"
-    names = _FACTORIZATIONS[kind].names
+    names = _KINDS[kind].names
     return f"{len(names)}-matrix factorization ({', '.join(names)})", f"{'*'.join(names)} = f*I"
 
 

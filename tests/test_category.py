@@ -8,6 +8,7 @@ from polymf3 import (
     MF2,
     MF3,
     DimensionError,
+    Morphism,
     Morphism3,
     MorphismError,
     RatMatrix,
@@ -72,6 +73,59 @@ def test_perturbed_morphism_rejected(triple_f, ctx):
     with pytest.raises(MorphismError) as err:
         Morphism3(triple_f, triple_f, bumped, i, i)
     assert "alpha*phi1 = phi2*beta" in str(err.value)
+
+
+def _bumped(k):
+    """Identity endomorphism of triple_f with component k bumped off the diagonal."""
+
+    def build(triple_f, ctx):
+        components = [RatMatrix.identity(ctx, 2)] * 3
+        components[k] = RatMatrix.from_rows(ctx, [[1, ctx.gens()[0]], [0, 1]])
+        return (triple_f, triple_f, *components)
+
+    return build
+
+
+def _zero_target(triple_f, ctx):
+    # for f != 0 the first two squares imply the third, so only f = 0 reaches it
+    one, two = RatMatrix.identity(ctx, 1), RatMatrix.scalar(ctx, 1, 2)
+    x = ctx.gens()[0]
+    X = MF3(RatMatrix.zeros(ctx, 1, 1), one, one, x - x)
+    return X, X, one, two, two
+
+
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (_bumped(0), "morphism equation alpha*phi1 = phi2*beta fails at entry [0][0]"),
+        (_bumped(2), "morphism equation psi2*delta = beta*psi1 fails at entry [0][1]"),
+        (_zero_target, "morphism equation delta*theta1 = theta2*alpha fails at entry [0][0]"),
+    ],
+    ids=["alpha", "delta", "zero-target"],
+)
+def test_each_violated_square_is_named(triple_f, ctx, build, text):
+    with pytest.raises(MorphismError) as err:
+        Morphism3(*build(triple_f, ctx))
+    assert str(err.value) == text
+
+
+def test_mf2_morphisms_follow_the_same_rule(triple_f, ctx):
+    x, y, _ = ctx.gens()
+    pair = MF2(
+        RatMatrix.from_rows(ctx, [[x, -y], [y, x]]),
+        RatMatrix.from_rows(ctx, [[x, y], [-y, x]]),
+        x**2 + y**2,
+    )
+    two = RatMatrix.scalar(ctx, 2, 2)
+    double = Morphism(pair, pair, two, two)
+    assert Morphism.identity(pair) @ double == double
+    assert violated_equation(two, two, pair, pair) is None
+    bumped = RatMatrix.from_rows(ctx, [[2, x], [0, 2]])
+    with pytest.raises(MorphismError) as err:
+        Morphism(pair, pair, two, bumped)
+    assert str(err.value) == "morphism equation m0*C0 = C'0*m1 fails at entry [0][1]"
+    with pytest.raises(DimensionError):
+        Morphism(triple_f, triple_f, two, two)
 
 
 def test_shape_mismatch_rejected(triple_f, ctx):

@@ -62,6 +62,33 @@ def test_verify_accepts_an_artifact_without_size(tmp_path, capsys):
     assert code == 0 and "verification: PASS" in out
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("size", "2", 'size "2" is not an integer'),
+        ("size", 2.0, "size 2.0 is not an integer"),
+        ("size", True, "size true is not an integer"),
+        ("size", None, "size null is not an integer"),
+        ("pivoted", "false", 'pivoted "false" is not true or false'),
+        ("pivoted", "no", 'pivoted "no" is not true or false'),
+        ("pivoted", 1, "pivoted 1 is not true or false"),
+        ("pivoted", None, "pivoted null is not true or false"),
+    ],
+    ids=[
+        "size-string", "size-float", "size-bool", "size-null",
+        "pivoted-string-false", "pivoted-string-no", "pivoted-one", "pivoted-null",
+    ],
+)
+def test_a_mistyped_claim_is_a_malformed_artifact(tmp_path, capsys, key, value, reason):
+    path, obj = stored(capsys, tmp_path, SQUARES)
+    (obj if key == "size" else obj["provenance"])[key] = value
+    path.write_text(json.dumps(obj))
+    for argv in (["verify", str(path)], ["tensor3", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: malformed artifact: {reason}\n"
+
+
 def test_tensor3_fails_a_false_provenance_with_exit_1(tmp_path, capsys):
     path, obj = stored(capsys, tmp_path, SQUARES)
     obj.update(provenance(method="crout"))
