@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .context import same_context
 from .errors import CertificateError, ContextError, DimensionError
-from .matrix import RatMatrix, first_difference
+from .matrix import RatMatrix
 from .poly import Monomial, Polynomial
+from .ratfunc import RationalFunction
 
 # standard_method builds a size 2^(k-1) factorization from k summands; at
 # k = 9 (size 256) that already takes seconds, and each summand more ~3-4x
@@ -26,19 +27,43 @@ MAX_SPLITS = 8
 
 
 def check_product_is_scalar(label: str, product: RatMatrix, f: Polynomial):
-    """Raise CertificateError at the first entry where product != f*I."""
-    expected = RatMatrix.scalar(product.context, product.rows, f)
-    spot = first_difference(product, expected)
-    if spot is not None:
-        i, j = spot
-        raise CertificateError(label, i, j, product[i, j], expected[i, j])
+    """Raise CertificateError at the first entry, row-major, where product != f*I."""
+    ctx = product.context
+    diagonal, zero = RationalFunction.from_value(ctx, f), RationalFunction.zero(ctx)
+    for i in range(product.rows):
+        for j, got in enumerate(product.row(i)):
+            expected = diagonal if i == j else zero
+            if got != expected:
+                raise CertificateError(label, i, j, got, expected)
+
+
+def _fraction_entries(m: RatMatrix) -> int:
+    """How many entries of m have a denominator other than 1."""
+    return sum(1 for i in range(m.rows) for e in m.row(i) if not e.denominator.is_one)
+
+
+def _certificate_product(components) -> RatMatrix:
+    """The full product C1*C2*...*Cn, associated in the cheap order.
+
+    While more than two factors are left, multiply the adjacent pair with
+    the most non-polynomial entries, leftmost on a tie: after promote that
+    is the L, U pair, whose product clears its denominators. Exact products
+    are canonical, so the result does not depend on the order.
+    """
+    factors = list(components)
+    while len(factors) > 2:
+        counts = [_fraction_entries(m) for m in factors]
+        k = max(range(len(factors) - 1), key=lambda i: counts[i] + counts[i + 1])
+        factors[k : k + 2] = [factors[k] @ factors[k + 1]]
+    return factors[0] @ factors[1] if len(factors) == 2 else factors[0]
 
 
 class Factorization:
     """A certified tuple of square matrices whose product is target*I.
 
-    Subclasses name the components; the certificate multiplies them left to
-    right, ((C1*C2)*C3)*..., and is labelled by the joined names ("P*Q").
+    Subclasses name the components; the certificate multiplies them out in
+    full, associated in the cheap order of _certificate_product, and is
+    labelled by the joined names ("P*Q", "A1*A2*A3").
     """
 
     __slots__ = ("_components", "_target")
@@ -53,10 +78,7 @@ class Factorization:
                 + separator.join(str(shape) for shape in shapes)
             )
         same_context(*components, target)
-        product = components[0]
-        for m in components[1:]:
-            product = product @ m
-        check_product_is_scalar("*".join(self.names), product, target)
+        check_product_is_scalar("*".join(self.names), _certificate_product(components), target)
         self._components = components
         self._target = target
 

@@ -7,11 +7,16 @@ coefficients, checks variable indices); arithmetic builds its results,
 already clean, through the trusted Polynomial._raw. The term order
 everywhere (leading terms, printing, leading-coefficient normalization)
 is graded-lexicographic with respect to the owning variable context.
+
+Exact division keeps its remainder in one mutable dict and finds each
+leading term through a heap of grlex keys, so a quotient term costs one
+pass over the divisor's tail instead of a rebuilt remainder and a scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .context import VarContext, same_context
 from .errors import ContextError
@@ -133,6 +138,14 @@ class Monomial:
 
 
 _ONE_MONOMIAL = Monomial()
+
+
+def _heap_key(mono: Monomial, nvars: int) -> tuple:
+    """A key whose ascending order is descending grlex order, for heapq."""
+    exps = [0] * nvars
+    for i, e in mono._powers:
+        exps[i] = -e
+    return (-mono._degree, tuple(exps))
 
 
 class Polynomial:
@@ -337,12 +350,6 @@ class Polynomial:
             return RationalFunction(self, den)
         return NotImplemented
 
-    def mul_term(self, mono: Monomial, coeff: Fraction) -> Polynomial:
-        """Multiply by a single term coeff*mono."""
-        if not coeff:
-            return Polynomial.zero(self._ctx)
-        return Polynomial._raw(self._ctx, {m * mono: c * coeff for m, c in self._terms.items()})
-
     def scale(self, coeff) -> Polynomial:
         coeff = Fraction(coeff)
         if not coeff:
@@ -358,7 +365,14 @@ class Polynomial:
     # -- division and gcd support ----------------------------------------
 
     def try_exact_div(self, divisor: Polynomial) -> Polynomial | None:
-        """Exact quotient self/divisor, or None when divisor does not divide self."""
+        """Exact quotient self/divisor, or None when divisor does not divide self.
+
+        Sparse division with a heap (Johnson 1974; Monagan and Pearce 2011):
+        the remainder is one mutable copy of self's terms, and a heap of grlex
+        keys yields its leading term. Each quotient term qc*qm subtracts only
+        qc*qm*(divisor tail), since the leading parts cancel by construction.
+        The first leading term that lt(divisor) does not divide gives None.
+        """
         divisor = self._coerce(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
@@ -372,17 +386,40 @@ class Polynomial:
                     return None
                 quotient[m.div(dm)] = c / dc
             return Polynomial._raw(self._ctx, quotient)
+        nvars = len(self._ctx)
         dm, dc = divisor.leading_term()
+        tail = [(m, c) for m, c in divisor._terms.items() if m != dm]
+        # the remainder is a private copy; the heap holds the grlex keys of its
+        # monomials, and a key whose monomial has since cancelled is skipped
+        rest = dict(self._terms)
+        by_key = {_heap_key(m, nvars): m for m in rest}
+        heap = list(by_key)
+        heapify(heap)
         quotient: dict[Monomial, Fraction] = {}
-        rest = self
-        while rest._terms:
-            rm, rc = rest.leading_term()
+        while heap:
+            rm = by_key[heappop(heap)]
+            rc = rest.pop(rm, None)
+            if rc is None:
+                continue
             if not dm.divides(rm):
                 return None
             qm = rm.div(dm)
             qc = rc / dc
             quotient[qm] = qc
-            rest = rest - divisor.mul_term(qm, qc)
+            for tm, tc in tail:
+                m = qm * tm
+                acc = rest.get(m)
+                if acc is None:
+                    rest[m] = -qc * tc
+                    key = _heap_key(m, nvars)
+                    heappush(heap, key)
+                    by_key[key] = m
+                else:
+                    total = acc - qc * tc
+                    if total:
+                        rest[m] = total
+                    else:
+                        del rest[m]
         return Polynomial._raw(self._ctx, quotient)
 
     def exact_div(self, divisor: Polynomial) -> Polynomial:
@@ -428,6 +465,13 @@ class Polynomial:
         """Reinterpret in a context that contains every used variable by name."""
         if new_ctx == self._ctx:
             return self
+        image = self._ctx.order_preserving_map(new_ctx)
+        if image is not None:
+            # powers stay index-sorted and the terms stay clean
+            return Polynomial._raw(new_ctx, {
+                Monomial._make(tuple((image[i], e) for i, e in m._powers), m._degree): c
+                for m, c in self._terms.items()
+            })
         mapping = {
             idx: new_ctx.index_of(self._ctx.name_of(idx)) for idx in self.var_indices()
         }

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polymf3 import ContextError, Monomial, Polynomial, VarContext, gcd
-from polymf3.laws import random_polynomial
+from polymf3.laws import random_polynomial, random_single_term
 
 
 def naive_mul(a, b):
@@ -182,3 +182,69 @@ def test_in_context_remap(gens):
     assert str(q) == str(p)
     with pytest.raises(ContextError):
         p.in_context(VarContext("x"))
+
+
+# -- exact division: remainder bookkeeping ------------------------------------
+
+
+def test_division_leaves_the_dividend_unchanged(gens):
+    x, y, z = gens
+    d = x + y + 1
+    good = d * (x * z - y**2 + 3)
+    bad = good + z
+    for dividend in (good, bad):
+        before = dividend.terms()
+        dividend.try_exact_div(d)
+        assert dividend.terms() == before
+    assert good.try_exact_div(d) == x * z - y**2 + 3
+    assert bad.try_exact_div(d) is None
+
+
+def test_division_when_a_remainder_monomial_cancels_and_reappears(gens):
+    x, y, _ = gens
+    d = -2 * x * y + 2 * x - 1
+    q = x * y + 2 * y + 2
+    dividend = d * q  # -2x^2y^2 + 2x^2y - 4xy^2 - xy + 4x - 2y - 2
+    # quotient term x*y: its tail -x*y cancels the dividend's -x*y;
+    # quotient term 2*y: its tail 4*x*y brings x*y back, to be divided last
+    assert dividend.try_exact_div(d) == q
+    assert (dividend + x * y).try_exact_div(d) is None
+
+
+def test_division_fails_only_at_the_last_term(gens):
+    x, y, z = gens
+    d = x**2 + y * z + 2 * z + 1
+    q = x * y - z**2 + 5
+    dividend = d * q
+    assert dividend.try_exact_div(d) == q
+    # a constant is last in grlex order, so every quotient term of q is found
+    # before the leftover constant fails to divide
+    assert (dividend + Fraction(1, 7)).try_exact_div(d) is None
+    assert (dividend - 5).try_exact_div(d) is None
+
+
+def test_division_by_long_divisors_randomized(ctx):
+    rng = random.Random(20)
+    for _ in range(30):
+        d = random_polynomial(rng, ctx, max_terms=8, max_degree=3)
+        while len(d) < 6:
+            d = d + random_polynomial(rng, ctx, max_terms=3, max_degree=3)
+        q = random_polynomial(rng, ctx, max_terms=5, max_degree=3)
+        dividend = d * q
+        quotient = dividend.try_exact_div(d)
+        assert quotient * d == dividend
+        assert quotient == q
+        # a nonzero single term is never a multiple of a 6-term divisor
+        extra = random_single_term(rng, ctx, 4)
+        assert (dividend + extra).try_exact_div(d) is None
+
+
+def test_division_by_a_constant_and_of_zero(gens):
+    x, y, _ = gens
+    p = 3 * x**2 - x * y + Fraction(1, 2)
+    assert p.try_exact_div(Polynomial.constant(x.context, Fraction(3, 4))) == p.scale(
+        Fraction(4, 3)
+    )
+    zero = Polynomial.zero(x.context)
+    assert zero.try_exact_div(x + y + 1) == zero
+    assert zero.try_exact_div(2) == zero

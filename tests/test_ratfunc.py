@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymf3 import Polynomial, RationalFunction, VarContext
+from polymf3 import Polynomial, RationalFunction, VarContext, parse_polynomial
 from polymf3.laws import random_polynomial
 
 
@@ -122,3 +122,28 @@ def test_string_forms(gens):
     assert str(RationalFunction(x**2 + y**2, x)) == "(x^2 + y^2)/x"
     assert str(-(y / x)) == "(-y)/x"
     assert str(RationalFunction.from_value(x.context, Fraction(5, 7))) == "5/7"
+
+
+def test_in_context_keeps_canonical_form_in_wider_contexts():
+    rng = random.Random(11)
+    ctx = VarContext("x y z")
+    kept = [VarContext("w x y z"), VarContext("x a y b z"), VarContext("x y z t")]
+    reordered = [VarContext("z y x w"), VarContext("y x z"), VarContext("t z x y")]
+    assert [ctx.order_preserving_map(c) for c in kept] == [(1, 2, 3), (0, 2, 4), (0, 1, 2)]
+    assert [ctx.order_preserving_map(c) for c in reordered] == [None] * 3
+    assert ctx.order_preserving_map(VarContext("x y")) is None
+    for _ in range(15):
+        r = RationalFunction(
+            random_polynomial(rng, ctx, max_terms=3, max_degree=3),
+            random_polynomial(rng, ctx, max_terms=3, max_degree=3),
+        )
+        for new in kept + reordered:
+            moved = r.in_context(new)
+            fresh = RationalFunction(
+                parse_polynomial(str(r.numerator), new),
+                parse_polynomial(str(r.denominator), new),
+            )
+            assert moved.numerator == fresh.numerator
+            assert moved.denominator == fresh.denominator
+            if new in kept:
+                assert str(moved) == str(r)
