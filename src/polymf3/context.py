@@ -53,20 +53,6 @@ class VarContext:
     def name_of(self, index: int) -> str:
         return self._names[index]
 
-    def order_preserving_map(self, other: VarContext) -> tuple[int, ...] | None:
-        """The index in other of each of this context's variables, when other
-        lists them all in the same relative order; otherwise None.
-
-        Such a map keeps every graded-lex comparison between monomials.
-        """
-        image = []
-        for name in self._names:
-            j = other._index.get(name)
-            if j is None or (image and j <= image[-1]):
-                return None
-            image.append(j)
-        return tuple(image)
-
     def merge(self, other: VarContext) -> VarContext:
         """Ordered union: this context's names first, then the other's new ones."""
         extra = [n for n in other._names if n not in self._index]

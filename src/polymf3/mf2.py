@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 from .context import same_context
 from .errors import CertificateError, ContextError, DimensionError
-from .matrix import RatMatrix
+from .matrix import RatMatrix, first_difference
 from .poly import Monomial, Polynomial
-from .ratfunc import RationalFunction
 
 # standard_method builds a size 2^(k-1) factorization from k summands; at
 # k = 9 (size 256) that already takes seconds, and each summand more ~3-4x
@@ -27,14 +26,12 @@ MAX_SPLITS = 8
 
 
 def check_product_is_scalar(label: str, product: RatMatrix, f: Polynomial):
-    """Raise CertificateError at the first entry, row-major, where product != f*I."""
-    ctx = product.context
-    diagonal, zero = RationalFunction.from_value(ctx, f), RationalFunction.zero(ctx)
-    for i in range(product.rows):
-        for j, got in enumerate(product.row(i)):
-            expected = diagonal if i == j else zero
-            if got != expected:
-                raise CertificateError(label, i, j, got, expected)
+    """Raise CertificateError at the first entry where product != f*I."""
+    expected = RatMatrix.scalar(product.context, product.rows, f)
+    spot = first_difference(product, expected)
+    if spot is not None:
+        i, j = spot
+        raise CertificateError(label, i, j, product[i, j], expected[i, j])
 
 
 def _fraction_entries(m: RatMatrix) -> int:
@@ -45,17 +42,17 @@ def _fraction_entries(m: RatMatrix) -> int:
 def _certificate_product(components) -> RatMatrix:
     """The full product C1*C2*...*Cn, associated in the cheap order.
 
-    While more than two factors are left, multiply the adjacent pair with
-    the most non-polynomial entries, leftmost on a tie: after promote that
+    While more than one factor is left, multiply the adjacent pair with the
+    most non-polynomial entries, leftmost on a tie: after promote that
     is the L, U pair, whose product clears its denominators. Exact products
     are canonical, so the result does not depend on the order.
     """
     factors = list(components)
-    while len(factors) > 2:
+    while len(factors) > 1:
         counts = [_fraction_entries(m) for m in factors]
         k = max(range(len(factors) - 1), key=lambda i: counts[i] + counts[i + 1])
         factors[k : k + 2] = [factors[k] @ factors[k + 1]]
-    return factors[0] @ factors[1] if len(factors) == 2 else factors[0]
+    return factors[0]
 
 
 class Factorization:

@@ -116,11 +116,13 @@ class Monomial:
         lookup = dict(other._powers)
         return Monomial((i, min(e, lookup[i])) for i, e in self._powers if i in lookup)
 
-    def grlex_key(self, nvars: int):
+    def grlex_key(self, nvars: int, sign: int = 1):
+        """Sort key of the graded-lex order; sign=-1 negates it, so that
+        ascending order (as in heapq) is descending graded-lex order."""
         exps = [0] * nvars
         for i, e in self._powers:
-            exps[i] = e
-        return (self._degree, tuple(exps))
+            exps[i] = sign * e
+        return (sign * self._degree, tuple(exps))
 
     def __eq__(self, other):
         if not isinstance(other, Monomial):
@@ -138,14 +140,6 @@ class Monomial:
 
 
 _ONE_MONOMIAL = Monomial()
-
-
-def _heap_key(mono: Monomial, nvars: int) -> tuple:
-    """A key whose ascending order is descending grlex order, for heapq."""
-    exps = [0] * nvars
-    for i, e in mono._powers:
-        exps[i] = -e
-    return (-mono._degree, tuple(exps))
 
 
 class Polynomial:
@@ -392,7 +386,7 @@ class Polynomial:
         # the remainder is a private copy; the heap holds the grlex keys of its
         # monomials, and a key whose monomial has since cancelled is skipped
         rest = dict(self._terms)
-        by_key = {_heap_key(m, nvars): m for m in rest}
+        by_key = {m.grlex_key(nvars, -1): m for m in rest}
         heap = list(by_key)
         heapify(heap)
         quotient: dict[Monomial, Fraction] = {}
@@ -411,7 +405,7 @@ class Polynomial:
                 acc = rest.get(m)
                 if acc is None:
                     rest[m] = -qc * tc
-                    key = _heap_key(m, nvars)
+                    key = m.grlex_key(nvars, -1)
                     heappush(heap, key)
                     by_key[key] = m
                 else:
@@ -465,21 +459,15 @@ class Polynomial:
         """Reinterpret in a context that contains every used variable by name."""
         if new_ctx == self._ctx:
             return self
-        image = self._ctx.order_preserving_map(new_ctx)
-        if image is not None:
-            # powers stay index-sorted and the terms stay clean
-            return Polynomial._raw(new_ctx, {
-                Monomial._make(tuple((image[i], e) for i, e in m._powers), m._degree): c
-                for m, c in self._terms.items()
-            })
         mapping = {
             idx: new_ctx.index_of(self._ctx.name_of(idx)) for idx in self.var_indices()
         }
-        terms = {
-            Monomial((mapping[i], e) for i, e in mono.powers): coeff
-            for mono, coeff in self._terms.items()
-        }
-        return Polynomial(new_ctx, terms)
+        # distinct names get distinct indices, so the terms stay clean; only
+        # the index order of a monomial's powers can change, and a sort fixes it
+        return Polynomial._raw(new_ctx, {
+            Monomial._make(tuple(sorted((mapping[i], e) for i, e in m._powers)), m._degree): c
+            for m, c in self._terms.items()
+        })
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -217,12 +217,10 @@ class RationalFunction:
     def in_context(self, new_ctx: VarContext) -> RationalFunction:
         if new_ctx == self.context:
             return self
-        # renaming preserves coprimality; only the monic normalization can
-        # change, and not when the renaming keeps the grlex order
-        num, den = self._num.in_context(new_ctx), self._den.in_context(new_ctx)
-        if self.context.order_preserving_map(new_ctx) is not None:
-            return RationalFunction._raw(num, den)
-        return RationalFunction._raw(*_monic(num, den))
+        # renaming preserves coprimality; only the monic normalization can change
+        return RationalFunction._raw(
+            *_monic(self._num.in_context(new_ctx), self._den.in_context(new_ctx))
+        )
 
     @staticmethod
     def _atomic(p: Polynomial) -> bool:

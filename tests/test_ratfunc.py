@@ -129,9 +129,6 @@ def test_in_context_keeps_canonical_form_in_wider_contexts():
     ctx = VarContext("x y z")
     kept = [VarContext("w x y z"), VarContext("x a y b z"), VarContext("x y z t")]
     reordered = [VarContext("z y x w"), VarContext("y x z"), VarContext("t z x y")]
-    assert [ctx.order_preserving_map(c) for c in kept] == [(1, 2, 3), (0, 2, 4), (0, 1, 2)]
-    assert [ctx.order_preserving_map(c) for c in reordered] == [None] * 3
-    assert ctx.order_preserving_map(VarContext("x y")) is None
     for _ in range(15):
         r = RationalFunction(
             random_polynomial(rng, ctx, max_terms=3, max_degree=3),
