@@ -82,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _context_for(args) -> VarContext | None:
-    if args.vars:
-        return VarContext(args.vars)
-    return None
-
-
 def _emit(args, text: str):
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
@@ -104,10 +98,10 @@ def _emit_artifact(args, artifact):
 
 
 def _build_mf2(args) -> MF2:
-    ctx = _context_for(args)
-    if ctx is None:
-        text = args.expr if not args.splits else f"{args.expr} + {args.splits}"
-        ctx = infer_context(text)
+    if args.vars:
+        ctx = VarContext(args.vars)
+    else:
+        ctx = infer_context(args.expr if not args.splits else f"{args.expr} + {args.splits}")
     f = parse_polynomial(args.expr, ctx)
     splits = None
     if args.splits:

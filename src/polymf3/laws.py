@@ -93,19 +93,19 @@ def random_mf3_of(
     if len(splits) == 2:
         styles.extend(["promoted", "promoted", "summed"])
     style = rng.choice(styles)
-    if style == "trivial":
-        one = Polynomial.one(ctx)
-        parts = [one, one, one]
+
+    def trivial() -> MF3:
+        """The 1x1 triple with f in one random slot and 1 in the others."""
+        parts = [Polynomial.one(ctx)] * 3
         parts[rng.randrange(3)] = f
-        return MF3(
-            *(RatMatrix.from_rows(ctx, [[p]]) for p in parts), f
-        )
+        return MF3(*(RatMatrix.from_rows(ctx, [[p]]) for p in parts), f)
+
+    if style == "trivial":
+        return trivial()
     if style == "scalar":
         parts = [splits[0].left, splits[0].right, Polynomial.one(ctx)]
         rng.shuffle(parts)
-        return MF3(
-            *(RatMatrix.from_rows(ctx, [[p]]) for p in parts), f
-        )
+        return MF3(*(RatMatrix.from_rows(ctx, [[p]]) for p in parts), f)
     promoted = promote(
         standard_method(f, splits),
         which=rng.choice(["first", "second"]),
@@ -113,11 +113,8 @@ def random_mf3_of(
     )
     if style == "promoted":
         return promoted
-    one = Polynomial.one(ctx)
-    parts = [one, one, one]
-    parts[rng.randrange(3)] = f
-    trivial = MF3(*(RatMatrix.from_rows(ctx, [[p]]) for p in parts), f)
-    return trivial.direct_sum(promoted) if rng.random() < 0.5 else promoted.direct_sum(trivial)
+    small = trivial()
+    return small.direct_sum(promoted) if rng.random() < 0.5 else promoted.direct_sum(small)
 
 
 def random_mf3(rng: random.Random, ctx: VarContext) -> MF3:

@@ -234,10 +234,9 @@ def first_difference(a: RatMatrix, b: RatMatrix) -> tuple[int, int] | None:
     """Row-major position of the first differing entry, or None if equal."""
     if a.shape != b.shape:
         raise DimensionError(f"cannot compare {a.shape} with {b.shape}")
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a[i, j] != b[i, j]:
-                return i, j
+    for k, (x, y) in enumerate(zip(a._entries, b._entries)):
+        if x != y:
+            return divmod(k, a.cols)
     return None
 
 
@@ -252,10 +251,6 @@ class PermutationMatrix:
         if sorted(image) != list(range(len(image))):
             raise ValueError(f"{image!r} is not a permutation")
         self._image = image
-
-    @classmethod
-    def identity(cls, n: int) -> PermutationMatrix:
-        return cls(range(n))
 
     @property
     def size(self) -> int:

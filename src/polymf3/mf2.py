@@ -170,27 +170,17 @@ class TermSplit:
         )
 
 
-def split_term(term: Polynomial) -> TermSplit:
-    """Default split of a single term: the lowest-ordered variable at its full
-    exponent carries the coefficient; the remaining monomial is the right side."""
-    if not term.is_single_term:
-        raise ValueError("default splits apply to single-term polynomials")
-    ctx = term.context
-    (mono, coeff), = term.terms().items()
-    if mono.is_one():
-        return TermSplit(term, Polynomial.one(ctx))
-    powers = mono.powers
-    i0, e0 = powers[0]
-    left = Polynomial(ctx, {Monomial(((i0, e0),)): coeff})
-    right = Polynomial(ctx, {Monomial(powers[1:]): 1})
-    return TermSplit(left, right)
-
-
 def default_splits(f: Polynomial) -> list[TermSplit]:
-    """One split per term of f, in graded-lex order (largest term first)."""
+    """One split per term of f, in graded-lex order (largest term first): the
+    lowest-ordered variable at its full exponent carries the coefficient, and
+    the rest of the monomial (1 for a constant term) is the right side."""
     ctx = f.context
     return [
-        split_term(Polynomial(ctx, {mono: coeff})) for mono, coeff in f.terms_grlex()
+        TermSplit(
+            Polynomial(ctx, {Monomial(mono.powers[:1]): coeff}),
+            Polynomial(ctx, {Monomial(mono.powers[1:]): 1}),
+        )
+        for mono, coeff in f.terms_grlex()
     ]
 
 

@@ -101,10 +101,6 @@ class LUResult:
     permutation: PermutationMatrix | None  # L @ U = permutation applied to the input
     method: str
 
-    @property
-    def pivoted(self) -> bool:
-        return self.permutation is not None
-
 
 def lu_decompose(A: RatMatrix, method: str = DOOLITTLE, pivot: bool = False) -> LUResult:
     """Exact LU decomposition of a square matrix over the fraction field.
@@ -193,5 +189,5 @@ def promote(
         triple = (L, result.U, X.Q)
     else:
         triple = (X.P, L, result.U)
-    provenance = Provenance(method, which, result.pivoted)
+    provenance = Provenance(method, which, result.permutation is not None)
     return MF3(*triple, X.target, provenance=provenance)

@@ -2,15 +2,17 @@
 
 Grammar (whitespace insignificant, ^ binds tightest, * explicit):
 
-    expr    := term (('+'|'-') term)*
-    term    := factor ('*' factor)*
-    factor  := '-' factor | power
-    power   := atom ['^' INT]
-    atom    := INT ['/' INT] | IDENT | '(' expr ')'
+    quotient := expr ['/' expr]    (a stored rational-function entry)
+    expr     := term (('+'|'-') term)*
+    term     := factor ('*' factor)*
+    factor   := '-' factor | power
+    power    := atom ['^' INT]
+    atom     := INT ['/' INT] | IDENT | '(' expr ')'
 
 Identifiers match [a-zA-Z][a-zA-Z0-9_]*; INT is a nonnegative integer and
-INT '/' INT is a rational literal. There is no division operator: a '/'
-is only consumed between two integer literals.
+INT '/' INT is a rational literal. Inside an expr a '/' is only consumed
+between two integer literals; a quotient's '/' must be the only '/' at
+parenthesis depth 0, literals included, so "1/2*x/y" is refused.
 
 Hostile input ends in a ParseError at three limits: parentheses and unary
 minus nest at most MAX_NESTING deep, and expanding one product or power takes
@@ -111,6 +113,11 @@ class _Parser:
     def fail(self, message):
         raise ParseError(message, self.text, self.peek().pos)
 
+    def end(self):
+        tok = self.advance()
+        if tok.kind != "END":
+            raise ParseError(f"unexpected {tok.value!r}", self.text, tok.pos)
+
     def check_expansion(self, term_products: int, coefficient_bits: int, pos: int):
         if term_products > MAX_TERM_PRODUCTS:
             raise ParseError(
@@ -122,6 +129,25 @@ class _Parser:
             )
 
     # -- grammar rules ---------------------------------------------------
+
+    def quotient(self) -> RationalFunction:
+        """expr ['/' expr], refusing a second '/' at depth 0 when '/' splits."""
+        num = self.expr()
+        if not self.at_op("/"):
+            return RationalFunction.from_value(self.ctx, num)
+        depth, slashes = 0, []
+        for tok in self.tokens:
+            if tok.kind == "OP":
+                depth += (tok.value == "(") - (tok.value == ")")
+                if tok.value == "/" and depth == 0:
+                    slashes.append(tok.pos)
+        if len(slashes) > 1:
+            raise ParseError("more than one top-level '/'", self.text, slashes[1])
+        slash = self.advance()
+        den = self.expr()
+        if den.is_zero:
+            raise ParseError("zero denominator", self.text, slash.pos + 1)
+        return RationalFunction(num, den)
 
     def expr(self) -> Polynomial:
         total = self.term()
@@ -222,9 +248,7 @@ def parse_polynomial(text: str, ctx: VarContext | None = None) -> Polynomial:
         ctx = infer_context(text)
     parser = _Parser(text, ctx)
     poly = parser.expr()
-    end = parser.advance()
-    if end.kind != "END":
-        raise ParseError(f"unexpected {end.value!r}", text, end.pos)
+    parser.end()
     return poly
 
 
@@ -249,38 +273,13 @@ def parse_summands(text: str, ctx: VarContext) -> list[list[Polynomial]]:
             sign = 1 if parser.advance().value == "+" else -1
             continue
         break
-    end = parser.advance()
-    if end.kind != "END":
-        raise ParseError(f"unexpected {end.value!r}", text, end.pos)
+    parser.end()
     return summands
 
 
 def parse_rational_function(text: str, ctx: VarContext) -> RationalFunction:
     """Parse a canonical rational-function string "num/den" (den omitted when 1)."""
-    try:
-        return RationalFunction.from_value(ctx, parse_polynomial(text, ctx))
-    except UnknownVariableError:
-        raise
-    except ParseError:
-        pass
-    depth = 0
-    split_at = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            if split_at is not None:
-                raise ParseError("more than one top-level '/'", text, i)
-            split_at = i
-    if split_at is None:
-        # re-raise the original polynomial parse error
-        parse_polynomial(text, ctx)
-        raise AssertionError("unreachable")
-    num = parse_polynomial(text[:split_at], ctx)
-    den_text = text[split_at + 1 :]
-    den = parse_polynomial(den_text, ctx)
-    if den.is_zero:
-        raise ParseError("zero denominator", text, split_at + 1)
-    return RationalFunction(num, den)
+    parser = _Parser(text, ctx)
+    value = parser.quotient()
+    parser.end()
+    return value

@@ -26,7 +26,8 @@ class Monomial:
     """A product of variables raised to positive powers; () is the monomial 1.
 
     Exponents are keyed by variable index; the owning polynomial's context
-    gives the indices meaning.
+    gives the indices meaning. The constructor sums the exponents of an index
+    given more than once.
     """
 
     __slots__ = ("_powers", "_degree")
@@ -34,15 +35,15 @@ class Monomial:
     def __init__(self, powers=()):
         if isinstance(powers, dict):
             powers = powers.items()
-        cleaned = []
+        merged = {}
         for i, e in powers:
             if e < 0:
                 raise ValueError("negative exponent in monomial")
             if e:
-                cleaned.append((int(i), int(e)))
-        cleaned.sort()
-        self._powers = tuple(cleaned)
-        self._degree = sum(e for _, e in cleaned)
+                i = int(i)
+                merged[i] = merged.get(i, 0) + int(e)
+        self._powers = tuple(sorted(merged.items()))
+        self._degree = sum(merged.values())
 
     @property
     def powers(self) -> tuple[tuple[int, int], ...]:
@@ -98,17 +99,13 @@ class Monomial:
         merged.extend(b[j:])
         return Monomial._make(tuple(merged), self._degree + other._degree)
 
-    def divides(self, other: Monomial) -> bool:
-        it = dict(other._powers)
-        return all(it.get(i, 0) >= e for i, e in self._powers)
-
-    def div(self, other: Monomial) -> Monomial:
-        """Exact quotient self / other; raises if other does not divide self."""
+    def div(self, other: Monomial) -> Monomial | None:
+        """Exact quotient self / other, or None when other does not divide self."""
         merged = dict(self._powers)
         for i, e in other._powers:
             left = merged.get(i, 0) - e
             if left < 0:
-                raise ValueError(f"{other!r} does not divide {self!r}")
+                return None
             merged[i] = left
         return Monomial(merged)
 
@@ -218,9 +215,6 @@ class Polynomial:
     @property
     def is_single_term(self) -> bool:
         return len(self._terms) == 1
-
-    def __bool__(self):
-        return bool(self._terms)
 
     def __len__(self):
         return len(self._terms)
@@ -376,9 +370,10 @@ class Polynomial:
             (dm, dc), = divisor._terms.items()
             quotient = {}
             for m, c in self._terms.items():
-                if not dm.divides(m):
+                qm = m.div(dm)
+                if qm is None:
                     return None
-                quotient[m.div(dm)] = c / dc
+                quotient[qm] = c / dc
             return Polynomial._raw(self._ctx, quotient)
         nvars = len(self._ctx)
         dm, dc = divisor.leading_term()
@@ -395,9 +390,9 @@ class Polynomial:
             rc = rest.pop(rm, None)
             if rc is None:
                 continue
-            if not dm.divides(rm):
-                return None
             qm = rm.div(dm)
+            if qm is None:
+                return None
             qc = rc / dc
             quotient[qm] = qc
             for tm, tc in tail:

@@ -208,12 +208,6 @@ class RationalFunction:
     def __hash__(self):
         return hash((self._num, self._den))
 
-    def evaluate(self, values) -> Fraction:
-        den = self._den.evaluate(values)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return self._num.evaluate(values) / den
-
     def in_context(self, new_ctx: VarContext) -> RationalFunction:
         if new_ctx == self.context:
             return self

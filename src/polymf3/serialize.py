@@ -44,7 +44,12 @@ def _context_from_obj(obj) -> VarContext:
     names = obj.get("vars")
     if names is None:
         raise ParseError("malformed artifact: missing 'vars'")
-    return VarContext(names)
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise ParseError("malformed artifact: 'vars' is not a list of strings")
+    try:
+        return VarContext(names)
+    except ValueError as exc:
+        raise ParseError(f"malformed artifact: {exc}") from None
 
 
 def factorization_to_obj(x: Factorization) -> dict:

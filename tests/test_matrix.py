@@ -13,6 +13,7 @@ from polymf3 import (
     perfect_shuffle,
 )
 from polymf3.laws import random_polynomial
+from polymf3.matrix import first_difference
 
 
 def naive_matmul(a, b):
@@ -195,3 +196,13 @@ def test_permutation_apply_rows(ctx):
     p = PermutationMatrix((2, 0, 1))
     assert p.apply_rows(a) == p.to_matrix(ctx) @ a
     assert p.transpose().apply_rows(p.apply_rows(a)) == a
+
+
+def test_first_difference_on_rectangular_matrices(ctx):
+    a = RatMatrix.from_rows(ctx, [[1, 2, 3], [4, 5, 6]])
+    assert first_difference(a, a) is None
+    assert first_difference(a, RatMatrix.from_rows(ctx, [[1, 2, 0], [4, 5, 6]])) == (0, 2)
+    assert first_difference(a, RatMatrix.from_rows(ctx, [[1, 2, 3], [0, 5, 6]])) == (1, 0)
+    assert first_difference(a, RatMatrix.from_rows(ctx, [[1, 2, 0], [0, 5, 6]])) == (0, 2)
+    with pytest.raises(DimensionError):
+        first_difference(a, a.transpose())

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import polymf3.parsing
 from polymf3 import (
     ParseError,
     Polynomial,
@@ -111,3 +112,30 @@ def test_parse_summands_keeps_product_structure(ctx):
     assert parts[1] == [x**2 + y * z, z]
     signed = parse_summands("x*y - x*y", ctx)
     assert signed[1] == [-x, y]
+
+
+def test_rational_function_is_parsed_in_one_pass(ctx, monkeypatch):
+    with pytest.raises(ParseError) as err:
+        parse_rational_function("x/(y+)", ctx)
+    assert err.value.pos == 5 and err.value.text == "x/(y+)"
+    for text, second in (("x/2/3", 3), ("1/2*x/y", 5), ("2/3/x", 3)):
+        with pytest.raises(ParseError, match="more than one top-level '/'") as err:
+            parse_rational_function(text, ctx)
+        assert err.value.pos == second and err.value.text == text
+    with pytest.raises(ParseError, match=r"^zero denominator \("):
+        parse_rational_function("x/ 0", ctx)
+    x, y, _ = ctx.gens()
+    half_x = x.scale(Fraction(1, 2))
+    # each entry is tokenized once and never handed to parse_polynomial
+    tokenized = []
+    real_tokenize = polymf3.parsing._tokenize
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return real_tokenize(text)
+
+    monkeypatch.setattr(polymf3.parsing, "_tokenize", counting_tokenize)
+    monkeypatch.setattr(polymf3.parsing, "parse_polynomial", None)
+    assert parse_rational_function("1/2*x + 1/3", ctx) == half_x + Fraction(1, 3)
+    assert parse_rational_function("(1/2*x)/y", ctx) == RationalFunction(half_x, y)
+    assert tokenized == ["1/2*x + 1/3", "(1/2*x)/y"]

@@ -248,3 +248,11 @@ def test_division_by_a_constant_and_of_zero(gens):
     zero = Polynomial.zero(x.context)
     assert zero.try_exact_div(x + y + 1) == zero
     assert zero.try_exact_div(2) == zero
+
+
+def test_monomial_sums_the_exponents_of_a_repeated_index(ctx):
+    repeated = Monomial([(0, 1), (0, 2)])
+    assert repeated == Monomial({0: 3}) and hash(repeated) == hash(Monomial({0: 3}))
+    assert repeated.degree == 3
+    x = Polynomial.variable(ctx, "x")
+    assert Polynomial(ctx, {repeated: 1}) - x**3 == Polynomial.zero(ctx)

@@ -10,6 +10,7 @@ from polymf3.cli import main
 from polymf3.mf2 import MAX_SPLITS
 from polymf3.parsing import MAX_COEFFICIENT_BITS, MAX_NESTING
 from polymf3.serialize import morphism_to_obj, to_json
+from polymf3.serialize import factorization_to_obj
 
 SQUARES = ["factor3", "x^2 + y^2", "--splits", "x*x + y*y", "--format", "json"]
 ZERO_PIVOT = ["factor3", "z^2", "--splits", "x*y - x*y + z*z", "--pivot", "--format", "json"]
@@ -190,3 +191,35 @@ def test_high_degree_artifacts_verify_and_tensor(tmp_path, capsys, expr):
     assert main(["tensor3", str(path3), str(path3), "--format", "json", "--out", str(product)]) == 0
     code, out, _ = run(capsys, "verify", str(product))
     assert code == 0 and "verification: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "names", [["x", "x"], ["x", "1y"], "x y"], ids=["duplicate", "invalid", "string"]
+)
+@pytest.mark.parametrize("verb", ["verify", "tensor3"])
+def test_malformed_vars_exit_2_in_both_verbs(tmp_path, capsys, verb, names):
+    path, obj = stored(capsys, tmp_path, SQUARES)
+    obj["vars"] = names
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, verb, *[str(path)] * (1 if verb == "verify" else 2))
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: malformed artifact: ")
+
+
+def test_verify_fails_a_morphism_between_factorizations_of_different_targets(tmp_path, capsys):
+    obj = identity_morphism_obj()
+    ctx = VarContext("x y")
+    x, y = ctx.gens()
+    doubled = MF2(
+        RatMatrix.from_rows(ctx, [[2 * x, -2 * y], [2 * y, 2 * x]]),
+        RatMatrix.from_rows(ctx, [[x, y], [-y, x]]),
+        2 * (x**2 + y**2),
+    )
+    obj["target"] = factorization_to_obj(promote(doubled))
+    path = tmp_path / "m.json"
+    path.write_text(to_json(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1].startswith(
+        "verification: FAIL (source and target factor different polynomials"
+    )
