@@ -35,6 +35,16 @@ class RatMatrix:
         self._entries = entries
 
     @classmethod
+    def _raw(cls, ctx: VarContext, rows: int, cols: int, entries: tuple) -> RatMatrix:
+        """Wrap an entry tuple that is already checked: rows*cols RationalFunctions of ctx."""
+        out = cls.__new__(cls)
+        out._ctx = ctx
+        out._rows = rows
+        out._cols = cols
+        out._entries = entries
+        return out
+
+    @classmethod
     def from_rows(cls, ctx: VarContext, rows) -> RatMatrix:
         """Build from nested lists; entries may be RationalFunction, Polynomial,
         int or Fraction."""
@@ -55,15 +65,18 @@ class RatMatrix:
 
     @classmethod
     def zeros(cls, ctx: VarContext, rows: int, cols: int) -> RatMatrix:
-        zero = RationalFunction.zero(ctx)
-        return cls(ctx, rows, cols, [zero] * (rows * cols))
+        if rows < 1 or cols < 1:
+            raise DimensionError("matrix dimensions must be positive")
+        return cls._raw(ctx, rows, cols, (RationalFunction.zero(ctx),) * (rows * cols))
 
     @classmethod
     def scalar(cls, ctx: VarContext, n: int, value) -> RatMatrix:
         """value * identity."""
+        if n < 1:
+            raise DimensionError("matrix dimensions must be positive")
         v = RationalFunction.from_value(ctx, value)
         zero = RationalFunction.zero(ctx)
-        return cls(ctx, n, n, [v if i == j else zero for i in range(n) for j in range(n)])
+        return cls._raw(ctx, n, n, tuple(v if i == j else zero for i in range(n) for j in range(n)))
 
     # -- inspection --------------------------------------------------------
 
@@ -125,7 +138,7 @@ class RatMatrix:
                     if not b.is_zero:
                         acc[j] = acc[j] + a * b
             out.extend(acc)
-        return RatMatrix(self._ctx, self._rows, other._cols, out)
+        return RatMatrix._raw(self._ctx, self._rows, other._cols, tuple(out))
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -161,11 +174,12 @@ class RatMatrix:
         return self.map_entries(lambda e: -e)
 
     def transpose(self) -> RatMatrix:
-        return RatMatrix(
+        cols = self._cols
+        return RatMatrix._raw(
             self._ctx,
-            self._cols,
+            cols,
             self._rows,
-            [self[i, j] for j in range(self._cols) for i in range(self._rows)],
+            tuple(self._entries[i * cols + j] for j in range(cols) for i in range(self._rows)),
         )
 
     def map_entries(self, fn) -> RatMatrix:
@@ -184,7 +198,7 @@ class RatMatrix:
                     base = (i * other._rows + k) * cols + j * other._cols
                     for l in range(other._cols):
                         entries[base + l] = a * other[k, l]
-        return RatMatrix(self._ctx, rows, cols, entries)
+        return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
 
     def direct_sum(self, other: RatMatrix) -> RatMatrix:
         """Block-diagonal assembly [[self, 0], [0, other]]."""
@@ -199,7 +213,7 @@ class RatMatrix:
         for i in range(other._rows):
             entries.extend([zero] * self._cols)
             entries.extend(other.row(i))
-        return RatMatrix(self._ctx, rows, cols, entries)
+        return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
 
     def in_context(self, new_ctx: VarContext) -> RatMatrix:
         if new_ctx == self._ctx:
@@ -280,7 +294,7 @@ class PermutationMatrix:
         entries = []
         for i in range(m.rows):
             entries.extend(m.row(self._image[i]))
-        return RatMatrix(m.context, m.rows, m.cols, entries)
+        return RatMatrix._raw(m.context, m.rows, m.cols, tuple(entries))
 
     def __eq__(self, other):
         if not isinstance(other, PermutationMatrix):

@@ -6,6 +6,12 @@ Crout: unit diagonal on U), turning (P, Q) into a certified triple such as
 first usable row and the transposed permutation is absorbed into the
 L-side factor so the triple certificate survives.
 
+A standard-method factor [[P1, -p2*I], [q2*I, Q1]] with P1*Q1 = f1*I has
+the Schur complement (f/f1)*Q1, so its LU is assembled from the LUs of P1
+and Q1, recursing down to 2x2 leaves. That block step checks its own
+conditions exactly; any matrix that fails them goes through elimination,
+which gives the same unique factors.
+
 MF3 is the triple case of mf2.Factorization. The provenance that promote
 records is checked whenever an MF3 is built, so a stored artifact cannot
 claim a split that its matrices do not show.
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, SingularPivotError, StructurallySingularError
 from .matrix import PermutationMatrix, RatMatrix
-from .mf2 import MF2, Factorization
+from .mf2 import MF2, Factorization, _blocks
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 
@@ -110,11 +116,78 @@ def lu_decompose(A: RatMatrix, method: str = DOOLITTLE, pivot: bool = False) -> 
     pivot raises SingularPivotError unless pivot=True, in which case the
     first lower row with a nonzero entry in the pivot column is used;
     if no row qualifies the matrix is singular.
+
+    The block step of _block_lu runs first; where it does not apply, the
+    gcd-reduced elimination loop does. Both give the unique Doolittle
+    factors, which Crout rescales once, at the end.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown LU method {method!r}")
     if not A.is_square:
         raise DimensionError(f"LU decomposition needs a square matrix, got {A.shape}")
+    factors = _block_lu(A)
+    if factors is None:
+        L, U, permutation = _eliminate(A, pivot)
+    else:
+        (L, U), permutation = factors, None
+    if method == CROUT:
+        # rescale the unique L(unit)*U decomposition into L*U(unit)
+        n, zero = A.rows, RationalFunction.zero(A.context)
+        diag = [U[i, i] for i in range(n)]
+        lower = [L[i, j] * diag[j] if j <= i else zero for i in range(n) for j in range(n)]
+        upper = [U[i, j] / diag[i] if j >= i else zero for i in range(n) for j in range(n)]
+        L, U = RatMatrix(A.context, n, n, lower), RatMatrix(A.context, n, n, upper)
+    return LUResult(L, U, permutation, method)
+
+
+def _block_lu(M: RatMatrix) -> tuple[RatMatrix, RatMatrix] | None:
+    """Doolittle L, U of M = [[A, b*I], [c*I, D]] with A @ D = s*I, or None.
+
+    This is the shape of every standard-method factor (mf2.add_factorizations
+    with a 1x1 pair last), where s is the partial sum f1. Since A^-1 = D/s,
+    the Schur complement D - c*b*A^-1 is (t/s)*D with t = s - c*b, and
+
+        L = [[L_A, 0], [(c/s)*(D @ L_A), L_D]]
+        U = [[U_A, (b/s)*(U_A @ D)], [0, (t/s)*U_D]]
+
+    from the Doolittle factors of A and D, which are again standard-method
+    factors when M is one. Each condition is checked exactly, so the step is
+    right for any matrix; None (odd or small size, other blocks, s == 0,
+    t == 0, or a zero pivot inside A or D) leaves M to the elimination loop.
+    """
+    n = M.rows
+    if n < 4 or n % 2:
+        return None
+    h = n // 2
+    ctx = M.context
+
+    def block(r: int, c: int) -> RatMatrix:
+        return RatMatrix(ctx, h, h, [e for i in range(r, r + h) for e in M.row(i)[c : c + h]])
+
+    A, B, C, D = block(0, 0), block(0, h), block(h, 0), block(h, h)
+    b, c = B[0, 0], C[0, 0]
+    if B != RatMatrix.scalar(ctx, h, b) or C != RatMatrix.scalar(ctx, h, c):
+        return None
+    AD = A @ D
+    s = AD[0, 0]
+    if s.is_zero or AD != RatMatrix.scalar(ctx, h, s):
+        return None
+    t = s - c * b
+    if t.is_zero:
+        return None
+    try:
+        top = lu_decompose(A)
+        bottom = lu_decompose(D)
+    except SingularPivotError:
+        return None
+    zeros = RatMatrix.zeros(ctx, h, h)
+    L = _blocks((top.L, zeros), ((D @ top.L) * (c / s), bottom.L))
+    U = _blocks((top.U, (top.U @ D) * (b / s)), (zeros, bottom.U * (t / s)))
+    return L, U
+
+
+def _eliminate(A: RatMatrix, pivot: bool) -> tuple[RatMatrix, RatMatrix, PermutationMatrix | None]:
+    """Doolittle elimination with exact zero tests, swapping rows only when pivot=True."""
     ctx = A.context
     n = A.rows
     zero = RationalFunction.zero(ctx)
@@ -146,24 +219,9 @@ def lu_decompose(A: RatMatrix, method: str = DOOLITTLE, pivot: bool = False) -> 
             work[i][k] = zero
             for j in range(k + 1, n):
                 work[i][j] = work[i][j] - factor * work[k][j]
-    upper = [
-        [work[i][j] if j >= i else zero for j in range(n)] for i in range(n)
-    ]
-    if method == CROUT:
-        # rescale the unique L(unit)*U decomposition into L*U(unit)
-        diag = [upper[i][i] for i in range(n)]
-        lower = [
-            [lower[i][j] * diag[j] if j <= i else zero for j in range(n)]
-            for i in range(n)
-        ]
-        upper = [
-            [upper[i][j] / diag[i] if j >= i else zero for j in range(n)]
-            for i in range(n)
-        ]
     L = RatMatrix(ctx, n, n, [e for row in lower for e in row])
-    U = RatMatrix(ctx, n, n, [e for row in upper for e in row])
-    permutation = PermutationMatrix(order) if swapped else None
-    return LUResult(L, U, permutation, method)
+    U = RatMatrix(ctx, n, n, [work[i][j] if j >= i else zero for i in range(n) for j in range(n)])
+    return L, U, PermutationMatrix(order) if swapped else None
 
 
 def promote(

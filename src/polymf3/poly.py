@@ -321,6 +321,13 @@ class Polynomial:
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
+        if exponent and len(self._terms) == 1:
+            # (c*m)^e is the single term c^e * m^e
+            (m, c), = self._terms.items()
+            powers = tuple((i, e * exponent) for i, e in m._powers)
+            return Polynomial._raw(
+                self._ctx, {Monomial._make(powers, m._degree * exponent): c**exponent}
+            )
         result = Polynomial.one(self._ctx)
         base = self
         while exponent:

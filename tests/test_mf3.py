@@ -1,6 +1,7 @@
 """LU decomposition over the fraction field and MF3 promotion."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,10 +13,13 @@ from polymf3 import (
     RationalFunction,
     SingularPivotError,
     StructurallySingularError,
+    TermSplit,
     VarContext,
     lu_decompose,
     promote,
+    standard_method,
 )
+from polymf3 import mf3
 from conftest import random_fraction_matrix
 
 
@@ -263,3 +267,133 @@ def test_determinant_consistency(ctx):
             continue
         assert cofactor_det(a) == cofactor_det(res.L) * cofactor_det(res.U)
         checked += 1
+
+
+# -- the block step against a textbook reference ------------------------------
+
+
+def textbook_doolittle(m, pivot):
+    """Reference LU: Gaussian elimination that keeps each multiplier as an
+    entry of L, taking the first row with a nonzero pivot when pivot=True.
+    Returns the rows of L and U and the row order, or raises the errors
+    lu_decompose documents."""
+    n = m.rows
+    zero, one = RationalFunction.zero(m.context), RationalFunction.one(m.context)
+    U = [list(m.row(i)) for i in range(n)]
+    L = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    order = list(range(n))
+    for k in range(n):
+        r = next((r for r in range(k, n) if not U[r][k].is_zero), None)
+        if r != k and not pivot:
+            raise SingularPivotError(k + 1)
+        if r is None:
+            raise StructurallySingularError(k)
+        U[k], U[r] = U[r], U[k]
+        L[k][:k], L[r][:k] = L[r][:k], L[k][:k]
+        order[k], order[r] = order[r], order[k]
+        for i in range(k + 1, n):
+            L[i][k] = U[i][k] / U[k][k]
+            U[i] = [zero] * (k + 1) + [U[i][j] - L[i][k] * U[k][j] for j in range(k + 1, n)]
+    return L, U, None if order == list(range(n)) else tuple(order)
+
+
+def check_against_reference(m):
+    """lu_decompose(m) matches the reference for every method and pivot
+    setting, errors included; returns what happened for pivot False, True."""
+    n, ctx = m.rows, m.context
+    outcomes, reference = [], None
+    for pivot in (False, True):
+        try:
+            # a factorization found without pivoting is also the one with it
+            reference = reference or textbook_doolittle(m, pivot)
+        except (SingularPivotError, StructurallySingularError) as want:
+            for method in ("doolittle", "crout"):
+                with pytest.raises(type(want)) as got:
+                    lu_decompose(m, method, pivot)
+                assert str(got.value) == str(want)
+            outcomes.append("raised")
+            continue
+        L, U, order = reference
+        crout_L = [[L[i][j] * U[j][j] for j in range(n)] for i in range(n)]
+        crout_U = [[U[i][j] / U[i][i] for j in range(n)] for i in range(n)]
+        for method, lower, upper in (("doolittle", L, U), ("crout", crout_L, crout_U)):
+            res = lu_decompose(m, method, pivot)
+            assert res.L == RatMatrix.from_rows(ctx, lower)
+            assert res.U == RatMatrix.from_rows(ctx, upper)
+            assert (None if res.permutation is None else res.permutation.image) == order
+        outcomes.append("factored")
+    return outcomes
+
+
+def random_standard_pair(rng, ctx, k):
+    """A standard-method pair of k seeded splits: rational coefficients,
+    variables repeated within and across summands, multi-term right sides."""
+    gens = ctx.gens()
+    coeffs = [1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    splits = []
+    for _ in range(k):
+        left = rng.choice(coeffs) * rng.choice(gens) ** rng.randint(1, 2)
+        right = rng.choice(gens) * rng.choice(gens)
+        if rng.random() < 0.5:
+            right = right + Fraction(2, 3) * rng.choice(gens)
+        splits.append(TermSplit(left, right))
+    f = sum((s.summand for s in splits[1:]), splits[0].summand)
+    return standard_method(f, splits)
+
+
+# The reference eliminates without the block step, and its time grows fast
+# with repeated variables: over four variables one k = 5 factor takes 5 s.
+# Ten variables, and a seed whose pairs it factors in under a second in all,
+# keep the suite quick while variables still repeat within and across summands.
+WIDE = VarContext("a b c d e f g h x y")
+SEED = 3
+
+
+def test_block_step_matches_textbook_doolittle_on_standard_method_pairs():
+    rng = random.Random(SEED)
+    pairs = [random_standard_pair(rng, WIDE, k) for k in (2, 3, 3, 4, 4, 5)]
+    a, b, c, d = WIDE.gens()[:4]
+    for summands in ([(a, b), (-a, b), (c, d)], [(a, b), (-a, b), (c, d), (a, c)]):
+        splits = [TermSplit(left, right) for left, right in summands]
+        pairs.append(standard_method(sum(s.summand for s in splits), splits))
+    outcomes = [
+        check_against_reference(factor) for pair in pairs for factor in (pair.P, pair.Q)
+    ]
+    # a zero partial sum needs a row swap: without pivoting it raises, with it
+    # the elimination loop swaps rows
+    assert outcomes == [["factored", "factored"]] * 12 + [["raised", "factored"]] * 4
+
+
+def test_block_step_leaves_only_2x2_blocks_to_elimination(monkeypatch):
+    pair = random_standard_pair(random.Random(SEED), WIDE, 5)
+    sizes = []
+    eliminate = mf3._eliminate
+
+    def spy(a, pivot):
+        sizes.append(a.rows)
+        return eliminate(a, pivot)
+
+    monkeypatch.setattr(mf3, "_eliminate", spy)
+    for factor in (pair.P, pair.Q):
+        lu_decompose(factor, "doolittle")
+    # 16 = 2 * 8 = 4 * 4 = 8 * 2: eight 2x2 leaves per factor
+    assert sizes == [2] * 16
+
+
+def test_block_step_falls_back_on_crafted_blocks():
+    ctx = VarContext("x y z")
+    x, y, z = ctx.gens()
+
+    def crafted(A, b, c, D):
+        return RatMatrix.from_rows(
+            ctx,
+            [A[0] + [b, 0], A[1] + [0, b], [c, 0] + D[0], [0, c] + D[1]],
+        )
+
+    not_scalar = crafted([[x, 1], [0, y]], z, 2, [[y, 0], [1, x]])
+    assert check_against_reference(not_scalar) == ["factored", "factored"]
+    res = lu_decompose(not_scalar)
+    assert res.L @ res.U == not_scalar
+    # A @ D = x*y*I but b*c = x*y: t == 0 and the matrix is singular
+    singular = crafted([[x, 0], [0, x]], x, y, [[y, 0], [0, y]])
+    assert check_against_reference(singular) == ["raised", "raised"]
