@@ -117,43 +117,48 @@ def lu_decompose(A: RatMatrix, method: str = DOOLITTLE, pivot: bool = False) -> 
     first lower row with a nonzero entry in the pivot column is used;
     if no row qualifies the matrix is singular.
 
-    The block step of _block_lu runs first; where it does not apply, the
-    gcd-reduced elimination loop does. Both give the unique Doolittle
-    factors, which Crout rescales once, at the end.
+    The block step of _block_lu runs first and gives the factors of the
+    method directly; where it does not apply, the gcd-reduced elimination
+    loop gives the unique Doolittle factors, which Crout rescales.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown LU method {method!r}")
     if not A.is_square:
         raise DimensionError(f"LU decomposition needs a square matrix, got {A.shape}")
-    factors = _block_lu(A)
-    if factors is None:
-        L, U, permutation = _eliminate(A, pivot)
-    else:
-        (L, U), permutation = factors, None
+    factors = _block_lu(A, method)
+    if factors is not None:
+        return LUResult(*factors, None, method)
+    L, U, permutation = _eliminate(A, pivot)
     if method == CROUT:
-        # rescale the unique L(unit)*U decomposition into L*U(unit)
-        n, zero = A.rows, RationalFunction.zero(A.context)
-        diag = [U[i, i] for i in range(n)]
-        lower = [L[i, j] * diag[j] if j <= i else zero for i in range(n) for j in range(n)]
-        upper = [U[i, j] / diag[i] if j >= i else zero for i in range(n) for j in range(n)]
-        L, U = RatMatrix(A.context, n, n, lower), RatMatrix(A.context, n, n, upper)
+        L, U = _to_crout(L, U)
     return LUResult(L, U, permutation, method)
 
 
-def _block_lu(M: RatMatrix) -> tuple[RatMatrix, RatMatrix] | None:
-    """Doolittle L, U of M = [[A, b*I], [c*I, D]] with A @ D = s*I, or None.
+def _to_crout(L: RatMatrix, U: RatMatrix) -> tuple[RatMatrix, RatMatrix]:
+    """Rescale the unique L(unit)*U decomposition into L*U(unit)."""
+    n, zero = L.rows, RationalFunction.zero(L.context)
+    diag = [U[i, i] for i in range(n)]
+    lower = [L[i, j] * diag[j] if j <= i else zero for i in range(n) for j in range(n)]
+    upper = [U[i, j] / diag[i] if j >= i else zero for i in range(n) for j in range(n)]
+    return RatMatrix(L.context, n, n, lower), RatMatrix(L.context, n, n, upper)
+
+
+def _block_lu(M: RatMatrix, method: str) -> tuple[RatMatrix, RatMatrix] | None:
+    """L, U of M = [[A, b*I], [c*I, D]] with A @ D = s*I by method, or None.
 
     This is the shape of every standard-method factor (mf2.add_factorizations
     with a 1x1 pair last), where s is the partial sum f1. Since A^-1 = D/s,
-    the Schur complement D - c*b*A^-1 is (t/s)*D with t = s - c*b, and
+    the Schur complement D - c*b*A^-1 is (t/s)*D with t = s - c*b. From the
+    Doolittle factors of A and D,
 
         L = [[L_A, 0], [(c/s)*(D @ L_A), L_D]]
         U = [[U_A, (b/s)*(U_A @ D)], [0, (t/s)*U_D]]
 
-    from the Doolittle factors of A and D, which are again standard-method
-    factors when M is one. Each condition is checked exactly, so the step is
-    right for any matrix; None (odd or small size, other blocks, s == 0,
-    t == 0, or a zero pivot inside A or D) leaves M to the elimination loop.
+    and from their Crout factors the scale (t/s) moves from U_D to L_D. A
+    and D are again standard-method factors when M is one. Each condition
+    is checked exactly, so the step is right for any matrix; None (odd or
+    small size, other blocks, s == 0, t == 0, or a zero pivot inside A or D)
+    leaves M to the elimination loop.
     """
     n = M.rows
     if n < 4 or n % 2:
@@ -176,13 +181,18 @@ def _block_lu(M: RatMatrix) -> tuple[RatMatrix, RatMatrix] | None:
     if t.is_zero:
         return None
     try:
-        top = lu_decompose(A)
-        bottom = lu_decompose(D)
+        top = lu_decompose(A, method)
+        bottom = lu_decompose(D, method)
     except SingularPivotError:
         return None
     zeros = RatMatrix.zeros(ctx, h, h)
-    L = _blocks((top.L, zeros), ((D @ top.L) * (c / s), bottom.L))
-    U = _blocks((top.U, (top.U @ D) * (b / s)), (zeros, bottom.U * (t / s)))
+    L_D, U_D = bottom.L, bottom.U
+    if method == CROUT:
+        L_D = L_D * (t / s)
+    else:
+        U_D = U_D * (t / s)
+    L = _blocks((top.L, zeros), ((D @ top.L) * (c / s), L_D))
+    U = _blocks((top.U, (top.U @ D) * (b / s)), (zeros, U_D))
     return L, U
 
 

@@ -204,7 +204,7 @@ class _Parser:
     def atom(self) -> Polynomial:
         tok = self.advance()
         if tok.kind == "INT":
-            value = Fraction(int(tok.value))
+            value = int(tok.value)
             if self.at_op("/") and self.tokens[self.i + 1].kind == "INT":
                 self.advance()
                 den = int(self.advance().value)

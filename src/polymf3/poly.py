@@ -1,12 +1,16 @@
 """Sparse multivariate polynomials over the rationals.
 
-Terms map monomials to nonzero Fraction coefficients; the zero polynomial
-has no terms. All values are immutable after construction. The public
-constructor cleans outside input (coerces, merges and drops zero
-coefficients, checks variable indices); arithmetic builds its results,
-already clean, through the trusted Polynomial._raw. The term order
-everywhere (leading terms, printing, leading-coefficient normalization)
-is graded-lexicographic with respect to the owning variable context.
+Terms map monomials to nonzero exact rational coefficients, each in one
+canonical form: an int when it is integral, a Fraction otherwise (never a
+Fraction with denominator 1), so most arithmetic stays in int. _coeff
+brings any value to this form, and _quotient is the one place where
+coefficients are divided. The zero polynomial has no terms. All values
+are immutable after construction. The public constructor cleans outside
+input (coerces, merges and drops zero coefficients, checks variable
+indices); arithmetic builds its results, already clean, through the
+trusted Polynomial._raw. The term order everywhere (leading terms,
+printing, leading-coefficient normalization) is graded-lexicographic with
+respect to the owning variable context.
 
 Exact division keeps its remainder in one mutable dict and finds each
 leading term through a heap of grlex keys, so a quotient term costs one
@@ -20,6 +24,23 @@ from heapq import heapify, heappop, heappush
 
 from .context import VarContext, same_context
 from .errors import ContextError
+
+
+def _coeff(value) -> int | Fraction:
+    """value as a stored coefficient: an int when it is integral, else a Fraction."""
+    if value.__class__ is not Fraction:
+        if value.__class__ is int:
+            return value
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a, b) -> int | Fraction:
+    """The exact quotient a/b of two coefficients, as a stored coefficient."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _coeff(a / b)
 
 
 class Monomial:
@@ -101,17 +122,28 @@ class Monomial:
 
     def div(self, other: Monomial) -> Monomial | None:
         """Exact quotient self / other, or None when other does not divide self."""
-        merged = dict(self._powers)
-        for i, e in other._powers:
-            left = merged.get(i, 0) - e
-            if left < 0:
+        a = self._powers
+        # walk both index-sorted exponent tuples; every index of other must
+        # appear in self with at least its exponent
+        quotient = []
+        i, na = 0, len(a)
+        for ib, eb in other._powers:
+            while i < na and a[i][0] < ib:
+                quotient.append(a[i])
+                i += 1
+            if i == na or a[i][0] != ib or a[i][1] < eb:
                 return None
-            merged[i] = left
-        return Monomial(merged)
+            if a[i][1] > eb:
+                quotient.append((ib, a[i][1] - eb))
+            i += 1
+        quotient.extend(a[i:])
+        return Monomial._make(tuple(quotient), self._degree - other._degree)
 
     def gcd(self, other: Monomial) -> Monomial:
         lookup = dict(other._powers)
-        return Monomial((i, min(e, lookup[i])) for i, e in self._powers if i in lookup)
+        # self's powers are index-sorted, so the filtered ones are too
+        common = tuple((i, min(e, lookup[i])) for i, e in self._powers if i in lookup)
+        return Monomial._make(common, sum(e for _, e in common))
 
     def grlex_key(self, nvars: int, sign: int = 1):
         """Sort key of the graded-lex order; sign=-1 negates it, so that
@@ -140,7 +172,7 @@ _ONE_MONOMIAL = Monomial()
 
 
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients (see _coeff)."""
 
     __slots__ = ("_ctx", "_terms")
 
@@ -150,7 +182,7 @@ class Polynomial:
         cleaned = {}
         nvars = len(context)
         for mono, coeff in terms:
-            coeff = Fraction(coeff)
+            coeff = _coeff(coeff)
             if not coeff:
                 continue
             if mono.powers and mono.powers[-1][0] >= nvars:
@@ -158,7 +190,7 @@ class Polynomial:
                     f"monomial {mono!r} uses a variable index outside the context"
                 )
             acc = cleaned.get(mono)
-            coeff = coeff if acc is None else acc + coeff
+            coeff = coeff if acc is None else _coeff(acc + coeff)
             if coeff:
                 cleaned[mono] = coeff
             elif acc is not None:
@@ -170,7 +202,8 @@ class Polynomial:
 
     @classmethod
     def _raw(cls, context: VarContext, terms: dict) -> Polynomial:
-        """Wrap a term dict that is already clean: nonzero Fractions, indices in context."""
+        """Wrap a term dict that is already clean: nonzero canonical coefficients
+        (see _coeff), indices in context."""
         out = cls.__new__(cls)
         out._ctx = context
         out._terms = terms
@@ -182,16 +215,16 @@ class Polynomial:
 
     @classmethod
     def one(cls, context: VarContext) -> Polynomial:
-        return cls._raw(context, {_ONE_MONOMIAL: Fraction(1)})
+        return cls._raw(context, {_ONE_MONOMIAL: 1})
 
     @classmethod
     def constant(cls, context: VarContext, value) -> Polynomial:
-        return cls(context, {_ONE_MONOMIAL: Fraction(value)})
+        return cls(context, {_ONE_MONOMIAL: value})
 
     @classmethod
     def variable(cls, context: VarContext, name: str) -> Polynomial:
         idx = context.index_of(name)
-        return cls(context, {Monomial(((idx, 1),)): Fraction(1)})
+        return cls(context, {Monomial(((idx, 1),)): 1})
 
     # -- inspection ------------------------------------------------------
 
@@ -219,10 +252,10 @@ class Polynomial:
     def __len__(self):
         return len(self._terms)
 
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[Monomial, int | Fraction]:
         return dict(self._terms)
 
-    def terms_grlex(self) -> list[tuple[Monomial, Fraction]]:
+    def terms_grlex(self) -> list[tuple[Monomial, int | Fraction]]:
         """Terms sorted graded-lexicographically, largest first."""
         nvars = len(self._ctx)
         return sorted(
@@ -235,14 +268,14 @@ class Polynomial:
             return -1
         return max(m.degree for m in self._terms)
 
-    def leading_term(self) -> tuple[Monomial, Fraction]:
+    def leading_term(self) -> tuple[Monomial, int | Fraction]:
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
         nvars = len(self._ctx)
         mono = max(self._terms, key=lambda m: m.grlex_key(nvars))
         return mono, self._terms[mono]
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         return self.leading_term()[1]
 
     def var_indices(self) -> tuple[int, ...]:
@@ -273,9 +306,9 @@ class Polynomial:
             return NotImplemented
         merged = dict(self._terms)
         for mono, coeff in other._terms.items():
-            total = merged.get(mono, Fraction(0)) + coeff
+            total = merged.get(mono, 0) + coeff
             if total:
-                merged[mono] = total
+                merged[mono] = _coeff(total)
             else:
                 merged.pop(mono, None)
         return Polynomial._raw(self._ctx, merged)
@@ -303,7 +336,7 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return Polynomial.zero(self._ctx)
-        product: dict[Monomial, Fraction] = {}
+        product: dict[Monomial, int | Fraction] = {}
         get = product.get
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -311,7 +344,7 @@ class Polynomial:
                 acc = get(mono)
                 total = c1 * c2 if acc is None else acc + c1 * c2
                 if total:
-                    product[mono] = total
+                    product[mono] = _coeff(total)
                 elif acc is not None:
                     del product[mono]
         return Polynomial._raw(self._ctx, product)
@@ -346,16 +379,16 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, coeff) -> Polynomial:
-        coeff = Fraction(coeff)
+        coeff = _coeff(coeff)
         if not coeff:
             return Polynomial.zero(self._ctx)
-        return Polynomial._raw(self._ctx, {m: c * coeff for m, c in self._terms.items()})
+        return Polynomial._raw(self._ctx, {m: _coeff(c * coeff) for m, c in self._terms.items()})
 
     def monic(self) -> Polynomial:
         """Scale so the graded-lex leading coefficient is 1."""
         if not self._terms:
             return self
-        return self.scale(1 / self.leading_coefficient())
+        return self.scale(_quotient(1, self.leading_coefficient()))
 
     # -- division and gcd support ----------------------------------------
 
@@ -380,7 +413,7 @@ class Polynomial:
                 qm = m.div(dm)
                 if qm is None:
                     return None
-                quotient[qm] = c / dc
+                quotient[qm] = _quotient(c, dc)
             return Polynomial._raw(self._ctx, quotient)
         nvars = len(self._ctx)
         dm, dc = divisor.leading_term()
@@ -391,7 +424,7 @@ class Polynomial:
         by_key = {m.grlex_key(nvars, -1): m for m in rest}
         heap = list(by_key)
         heapify(heap)
-        quotient: dict[Monomial, Fraction] = {}
+        quotient: dict[Monomial, int | Fraction] = {}
         while heap:
             rm = by_key[heappop(heap)]
             rc = rest.pop(rm, None)
@@ -400,7 +433,7 @@ class Polynomial:
             qm = rm.div(dm)
             if qm is None:
                 return None
-            qc = rc / dc
+            qc = _quotient(rc, dc)
             quotient[qm] = qc
             for tm, tc in tail:
                 m = qm * tm
@@ -531,7 +564,7 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     ma, a1 = a._strip_monomial_content()
     mb, b1 = b._strip_monomial_content()
-    common = Polynomial(a.context, {ma.gcd(mb): Fraction(1)})
+    common = Polynomial._raw(a.context, {ma.gcd(mb): 1})
     if a1.is_constant or b1.is_constant:
         return common
     if a1 == b1:
@@ -563,7 +596,7 @@ def _gcd_core(a: Polynomial, b: Polynomial) -> Polynomial:
 def _to_univar(p: Polynomial, main: int) -> dict[int, Polynomial]:
     """View p as univariate in the main variable, coefficients in the rest."""
     ctx = p.context
-    coeffs: dict[int, dict[Monomial, Fraction]] = {}
+    coeffs: dict[int, dict[Monomial, int | Fraction]] = {}
     for mono, coeff in p.terms().items():
         deg = mono.exponent(main)
         rest = Monomial((i, e) for i, e in mono.powers if i != main)
@@ -572,7 +605,7 @@ def _to_univar(p: Polynomial, main: int) -> dict[int, Polynomial]:
 
 
 def _from_univar(u: dict[int, Polynomial], main: int, ctx: VarContext) -> Polynomial:
-    xpow = {d: Polynomial(ctx, {Monomial(((main, d),)): Fraction(1)}) for d in u if d}
+    xpow = {d: Polynomial(ctx, {Monomial(((main, d),)): 1}) for d in u if d}
     total = Polynomial.zero(ctx)
     for d, coeff in u.items():
         total = total + (coeff * xpow[d] if d else coeff)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .context import VarContext, same_context
 from .errors import ContextError
-from .poly import Polynomial, gcd
+from .poly import Polynomial, _quotient, gcd
 
 
 def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -20,7 +20,8 @@ def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     lc = den.leading_coefficient()
     if lc == 1:
         return num, den
-    return num.scale(1 / lc), den.scale(1 / lc)
+    inverse = _quotient(1, lc)
+    return num.scale(inverse), den.scale(inverse)
 
 
 class RationalFunction:

@@ -7,6 +7,8 @@ a refactor that changes any byte of them fails here. Later cases read the
 JSON files of earlier ones as inputs (tensor3, verify). One case, the
 morphism artifact, is written by the library rather than by a command, and
 each script in demos/ is run in a subprocess and its output compared too.
+Every stored JSON artifact is also loaded and serialized again, and must
+give back its own bytes.
 
 Regenerate the files only for an intended change of output:
 
@@ -26,7 +28,13 @@ import pytest
 
 from polymf3 import Morphism3, RatMatrix, tensor3_morphism
 from polymf3.cli import main
-from polymf3.serialize import mf3_from_obj, morphism_from_obj, morphism_to_obj, to_json
+from polymf3.serialize import (
+    artifact_from_obj,
+    artifact_to_obj,
+    mf3_from_obj,
+    morphism_to_obj,
+    to_json,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).parent.parent
@@ -69,6 +77,7 @@ def _cases() -> dict[str, list[str] | Callable[[], str]]:
     for name in [n for n in cases if n.endswith(".json")]:
         cases[f"verify-{name[:-5]}.txt"] = ["verify", str(GOLDEN / name)]
     cases["laws-seed2-cases6.txt"] = ["laws", "--seed", "2", "--cases", "6"]
+    cases["laws-seed1-cases25.txt"] = ["laws", "--seed", "1", "--cases", "25"]
     cases["demo.txt"] = ["demo"]
     return cases
 
@@ -102,9 +111,10 @@ def test_output_matches_golden(name):
     assert out == (GOLDEN / name).read_bytes()
 
 
-def test_morphism_artifact_reemits_byte_for_byte():
-    text = (GOLDEN / "morphism.json").read_text()
-    assert to_json(morphism_to_obj(morphism_from_obj(json.loads(text)))) == text
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_json_artifact_reemits_byte_for_byte(name):
+    text = (GOLDEN / name).read_text()
+    assert to_json(artifact_to_obj(artifact_from_obj(json.loads(text)))) == text
 
 
 def _demo_output(path: pathlib.Path) -> bytes:

@@ -380,6 +380,30 @@ def test_block_step_leaves_only_2x2_blocks_to_elimination(monkeypatch):
     assert sizes == [2] * 16
 
 
+def test_crout_block_step_rescales_only_2x2_leaves(monkeypatch):
+    pair = random_standard_pair(random.Random(SEED), WIDE, 5)
+    calls = []
+    eliminate, to_crout = mf3._eliminate, mf3._to_crout
+
+    def eliminate_spy(a, pivot):
+        calls.append(("eliminate", a.rows))
+        return eliminate(a, pivot)
+
+    def to_crout_spy(L, U):
+        calls.append(("to_crout", L.rows))
+        return to_crout(L, U)
+
+    monkeypatch.setattr(mf3, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(mf3, "_to_crout", to_crout_spy)
+    for factor in (pair.P, pair.Q):
+        res = lu_decompose(factor, "crout")
+        assert res.L @ res.U == factor
+        assert all(res.U[i, i].is_one for i in range(factor.rows))
+    # the block step assembles Crout factors itself: only the 2x2 leaves are
+    # eliminated and rescaled, never a whole factor
+    assert calls == [("eliminate", 2), ("to_crout", 2)] * 16
+
+
 def test_block_step_falls_back_on_crafted_blocks():
     ctx = VarContext("x y z")
     x, y, z = ctx.gens()
