@@ -49,7 +49,7 @@ MAX_COEFFICIENT_BITS = 100_000
 def _growth_bits(p: Polynomial) -> int:
     """Estimated bits factor p adds to a product's coefficients: its largest
     coefficient's numerator and denominator bits, plus its term count's bits."""
-    bits = [c.numerator.bit_length() + c.denominator.bit_length() - 2 for c in p.terms().values()]
+    bits = [c.numerator.bit_length() + c.denominator.bit_length() - 2 for c in p.coefficients()]
     return max(bits, default=0) + max(len(p) - 1, 0).bit_length()
 
 

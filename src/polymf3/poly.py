@@ -12,15 +12,26 @@ trusted Polynomial._raw. The term order everywhere (leading terms,
 printing, leading-coefficient normalization) is graded-lexicographic with
 respect to the owning variable context.
 
+Each monomial is one packed int (Monagan and Pearce, CASC 2007): w-bit
+fields hold, most significant first, the total degree and the exponents of
+variables 0..n-1. Int order is grlex order, a monomial product is a sum of
+keys, and a difference of keys is an exact quotient iff no field's top
+(guard) bit is set. w depends on the total degree alone (_width), so equal
+polynomials have equal term dicts, and a result of another degree class is
+repacked (_in_width): exponents stay unbounded. Monomial is the boundary
+type, packed by the public constructor and unpacked by terms().
+
 Exact division keeps its remainder in one mutable dict and finds each
-leading term through a heap of grlex keys, so a quotient term costs one
+leading term through a heap of negated keys, so a quotient term costs one
 pass over the divisor's tail instead of a rebuilt remainder and a scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from heapq import heapify, heappop, heappush
+from operator import or_
 
 from .context import VarContext, same_context
 from .errors import ContextError
@@ -41,6 +52,33 @@ def _quotient(a, b) -> int | Fraction:
         q, r = divmod(a, b)
         return Fraction(a, b) if r else q
     return _coeff(a / b)
+
+
+def _width(degree: int) -> int:
+    """Field width for a total degree: whole bytes, at least 8 bits, and
+    every exponent (at most the degree) below 2**(w-1), its guard bit clear."""
+    return (degree.bit_length() // 8 + 1) * 8
+
+
+def _pack(powers, n: int, w: int) -> int:
+    """The key of (variable index, exponent) pairs, in fields of w bits."""
+    key = degree = 0
+    for i, e in powers:
+        key |= e << (n - 1 - i) * w
+        degree += e
+    return degree << n * w | key
+
+
+def _unpack(key: int, n: int, w: int) -> list[int]:
+    """The exponents of variables 0..n-1 in a key of width w."""
+    mask = (1 << w) - 1
+    return [(key >> (n - 1 - i) * w) & mask for i in range(n)]
+
+
+@cache
+def _guards(n: int, w: int) -> int:
+    """The guard bits of the n variable fields of width w."""
+    return sum(1 << (j * w + w - 1) for j in range(n))
 
 
 class Monomial:
@@ -83,76 +121,6 @@ class Monomial:
                 return e
         return 0
 
-    def var_indices(self):
-        return tuple(i for i, _ in self._powers)
-
-    @classmethod
-    def _make(cls, powers: tuple, degree: int) -> Monomial:
-        out = cls.__new__(cls)
-        out._powers = powers
-        out._degree = degree
-        return out
-
-    def __mul__(self, other: Monomial) -> Monomial:
-        a, b = self._powers, other._powers
-        if not a:
-            return other
-        if not b:
-            return self
-        # merge two index-sorted exponent tuples
-        merged = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            ia, ea = a[i]
-            ib, eb = b[j]
-            if ia == ib:
-                merged.append((ia, ea + eb))
-                i += 1
-                j += 1
-            elif ia < ib:
-                merged.append(a[i])
-                i += 1
-            else:
-                merged.append(b[j])
-                j += 1
-        merged.extend(a[i:])
-        merged.extend(b[j:])
-        return Monomial._make(tuple(merged), self._degree + other._degree)
-
-    def div(self, other: Monomial) -> Monomial | None:
-        """Exact quotient self / other, or None when other does not divide self."""
-        a = self._powers
-        # walk both index-sorted exponent tuples; every index of other must
-        # appear in self with at least its exponent
-        quotient = []
-        i, na = 0, len(a)
-        for ib, eb in other._powers:
-            while i < na and a[i][0] < ib:
-                quotient.append(a[i])
-                i += 1
-            if i == na or a[i][0] != ib or a[i][1] < eb:
-                return None
-            if a[i][1] > eb:
-                quotient.append((ib, a[i][1] - eb))
-            i += 1
-        quotient.extend(a[i:])
-        return Monomial._make(tuple(quotient), self._degree - other._degree)
-
-    def gcd(self, other: Monomial) -> Monomial:
-        lookup = dict(other._powers)
-        # self's powers are index-sorted, so the filtered ones are too
-        common = tuple((i, min(e, lookup[i])) for i, e in self._powers if i in lookup)
-        return Monomial._make(common, sum(e for _, e in common))
-
-    def grlex_key(self, nvars: int, sign: int = 1):
-        """Sort key of the graded-lex order; sign=-1 negates it, so that
-        ascending order (as in heapq) is descending graded-lex order."""
-        exps = [0] * nvars
-        for i, e in self._powers:
-            exps[i] = sign * e
-        return (sign * self._degree, tuple(exps))
-
     def __eq__(self, other):
         if not isinstance(other, Monomial):
             return NotImplemented
@@ -168,13 +136,11 @@ class Monomial:
         return f"Monomial({body})"
 
 
-_ONE_MONOMIAL = Monomial()
-
-
 class Polynomial:
-    """Immutable sparse polynomial with exact rational coefficients (see _coeff)."""
+    """Immutable sparse polynomial with exact rational coefficients (see _coeff)
+    keyed by monomials packed in width _w (see the module docstring)."""
 
-    __slots__ = ("_ctx", "_terms")
+    __slots__ = ("_ctx", "_terms", "_w")
 
     def __init__(self, context: VarContext, terms=()):
         if isinstance(terms, dict):
@@ -185,7 +151,7 @@ class Polynomial:
             coeff = _coeff(coeff)
             if not coeff:
                 continue
-            if mono.powers and mono.powers[-1][0] >= nvars:
+            if mono.powers and not 0 <= mono.powers[0][0] <= mono.powers[-1][0] < nvars:
                 raise ContextError(
                     f"monomial {mono!r} uses a variable index outside the context"
                 )
@@ -195,36 +161,43 @@ class Polynomial:
                 cleaned[mono] = coeff
             elif acc is not None:
                 del cleaned[mono]
+        w = _width(max((m.degree for m in cleaned), default=0))
         self._ctx = context
-        self._terms = cleaned
+        self._terms = {_pack(m.powers, nvars, w): c for m, c in cleaned.items()}
+        self._w = w
 
     # -- construction ----------------------------------------------------
 
     @classmethod
-    def _raw(cls, context: VarContext, terms: dict) -> Polynomial:
+    def _raw(cls, context: VarContext, terms: dict, w: int) -> Polynomial:
         """Wrap a term dict that is already clean: nonzero canonical coefficients
-        (see _coeff), indices in context."""
+        (see _coeff), keys packed in a width w that holds their degree. A
+        degree that fell below w, after a division or a cancelling sum, say,
+        gets its own narrower width (8 for the zero polynomial's -1)."""
         out = cls.__new__(cls)
         out._ctx = context
         out._terms = terms
+        out._w = w
+        if w > 8 and (fit := _width(out.total_degree())) < w:
+            out._terms, out._w = out._in_width(fit), fit
         return out
 
     @classmethod
     def zero(cls, context: VarContext) -> Polynomial:
-        return cls._raw(context, {})
+        return cls._raw(context, {}, 8)
 
     @classmethod
     def one(cls, context: VarContext) -> Polynomial:
-        return cls._raw(context, {_ONE_MONOMIAL: 1})
+        return cls._raw(context, {0: 1}, 8)
 
     @classmethod
     def constant(cls, context: VarContext, value) -> Polynomial:
-        return cls(context, {_ONE_MONOMIAL: value})
+        value = _coeff(value)
+        return cls._raw(context, {0: value} if value else {}, 8)
 
     @classmethod
     def variable(cls, context: VarContext, name: str) -> Polynomial:
-        idx = context.index_of(name)
-        return cls(context, {Monomial(((idx, 1),)): 1})
+        return cls._raw(context, {_pack([(context.index_of(name), 1)], len(context), 8): 1}, 8)
 
     # -- inspection ------------------------------------------------------
 
@@ -239,11 +212,11 @@ class Polynomial:
     @property
     def is_one(self) -> bool:
         t = self._terms
-        return len(t) == 1 and t.get(_ONE_MONOMIAL) == 1
+        return len(t) == 1 and t.get(0) == 1
 
     @property
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and _ONE_MONOMIAL in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     @property
     def is_single_term(self) -> bool:
@@ -252,42 +225,51 @@ class Polynomial:
     def __len__(self):
         return len(self._terms)
 
+    def coefficients(self):
+        return self._terms.values()
+
+    def _exponents(self, key: int) -> list[int]:
+        return _unpack(key, len(self._ctx), self._w)
+
     def terms(self) -> dict[Monomial, int | Fraction]:
-        return dict(self._terms)
+        return {Monomial(enumerate(self._exponents(k))): c for k, c in self._terms.items()}
 
     def terms_grlex(self) -> list[tuple[Monomial, int | Fraction]]:
         """Terms sorted graded-lexicographically, largest first."""
-        nvars = len(self._ctx)
-        return sorted(
-            self._terms.items(), key=lambda t: t[0].grlex_key(nvars), reverse=True
-        )
+        return [
+            (Monomial(enumerate(self._exponents(k))), self._terms[k])
+            for k in sorted(self._terms, reverse=True)
+        ]
 
     def total_degree(self) -> int:
         """Maximum term degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(m.degree for m in self._terms)
+        return max(self._terms) >> len(self._ctx) * self._w
 
     def leading_term(self) -> tuple[Monomial, int | Fraction]:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        nvars = len(self._ctx)
-        mono = max(self._terms, key=lambda m: m.grlex_key(nvars))
-        return mono, self._terms[mono]
+        coeff = self.leading_coefficient()
+        return Monomial(enumerate(self._exponents(max(self._terms)))), coeff
 
     def leading_coefficient(self) -> int | Fraction:
-        return self.leading_term()[1]
+        if not self._terms:
+            raise ValueError("the zero polynomial has no leading term")
+        return self._terms[max(self._terms)]
 
     def var_indices(self) -> tuple[int, ...]:
-        used = set()
-        for m in self._terms:
-            used.update(m.var_indices())
-        return tuple(sorted(used))
+        used = reduce(or_, self._terms, 0)
+        return tuple(i for i, e in enumerate(self._exponents(used)) if e)
 
     def degree_in(self, index: int) -> int:
-        if not self._terms:
-            return -1
-        return max(m.exponent(index) for m in self._terms)
+        shift, mask = (len(self._ctx) - 1 - index) * self._w, (1 << self._w) - 1
+        return max((k >> shift & mask for k in self._terms), default=-1)
+
+    def _in_width(self, w: int) -> dict:
+        """The term dict packed in width w, which must hold self's degree."""
+        if w == self._w:
+            return self._terms
+        n = len(self._ctx)
+        return {_pack(enumerate(_unpack(k, n, self._w)), n, w): c for k, c in self._terms.items()}
 
     # -- arithmetic ------------------------------------------------------
 
@@ -304,19 +286,20 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        merged = dict(self._terms)
-        for mono, coeff in other._terms.items():
+        w = max(self._w, other._w)
+        merged = dict(self._in_width(w))
+        for mono, coeff in other._in_width(w).items():
             total = merged.get(mono, 0) + coeff
             if total:
                 merged[mono] = _coeff(total)
             else:
                 merged.pop(mono, None)
-        return Polynomial._raw(self._ctx, merged)
+        return Polynomial._raw(self._ctx, merged, w)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._raw(self._ctx, {m: -c for m, c in self._terms.items()})
+        return Polynomial._raw(self._ctx, {m: -c for m, c in self._terms.items()}, self._w)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -336,18 +319,22 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return Polynomial.zero(self._ctx)
-        product: dict[Monomial, int | Fraction] = {}
+        # leading terms never cancel, so the degrees add and fix the width
+        n = len(self._ctx)
+        w = _width((max(self._terms) >> n * self._w) + (max(other._terms) >> n * other._w))
+        right = other._in_width(w).items()
+        product: dict[int, int | Fraction] = {}
         get = product.get
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1 * m2
+        for m1, c1 in self._in_width(w).items():
+            for m2, c2 in right:
+                mono = m1 + m2
                 acc = get(mono)
                 total = c1 * c2 if acc is None else acc + c1 * c2
                 if total:
                     product[mono] = _coeff(total)
                 elif acc is not None:
                     del product[mono]
-        return Polynomial._raw(self._ctx, product)
+        return Polynomial._raw(self._ctx, product, w)
 
     __rmul__ = __mul__
 
@@ -356,11 +343,9 @@ class Polynomial:
             raise ValueError("polynomial exponent must be a nonnegative integer")
         if exponent and len(self._terms) == 1:
             # (c*m)^e is the single term c^e * m^e
-            (m, c), = self._terms.items()
-            powers = tuple((i, e * exponent) for i, e in m._powers)
-            return Polynomial._raw(
-                self._ctx, {Monomial._make(powers, m._degree * exponent): c**exponent}
-            )
+            w = _width(self.total_degree() * exponent)
+            (m, c), = self._in_width(w).items()
+            return Polynomial._raw(self._ctx, {m * exponent: c**exponent}, w)
         result = Polynomial.one(self._ctx)
         base = self
         while exponent:
@@ -382,7 +367,9 @@ class Polynomial:
         coeff = _coeff(coeff)
         if not coeff:
             return Polynomial.zero(self._ctx)
-        return Polynomial._raw(self._ctx, {m: _coeff(c * coeff) for m, c in self._terms.items()})
+        return Polynomial._raw(
+            self._ctx, {m: _coeff(c * coeff) for m, c in self._terms.items()}, self._w
+        )
 
     def monic(self) -> Polynomial:
         """Scale so the graded-lex leading coefficient is 1."""
@@ -396,60 +383,65 @@ class Polynomial:
         """Exact quotient self/divisor, or None when divisor does not divide self.
 
         Sparse division with a heap (Johnson 1974; Monagan and Pearce 2011):
-        the remainder is one mutable copy of self's terms, and a heap of grlex
-        keys yields its leading term. Each quotient term qc*qm subtracts only
-        qc*qm*(divisor tail), since the leading parts cancel by construction.
-        The first leading term that lt(divisor) does not divide gives None.
+        the remainder is one mutable copy of self's terms, and a heap of
+        negated keys yields its leading term. Each quotient term qc*qm
+        subtracts only qc*qm*(divisor tail), since the leading parts cancel
+        by construction. The first leading term that lt(divisor) does not
+        divide gives None.
         """
         divisor = self._coerce(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._terms:
             return Polynomial.zero(self._ctx)
-        if len(divisor._terms) == 1:
-            (dm, dc), = divisor._terms.items()
+        w = self._w
+        if divisor._w > w:
+            return None  # the divisor's degree exceeds self's
+        # every remainder term, and so every product below, has degree at
+        # most self's, so width w holds them all
+        dterms = divisor._in_width(w)
+        guards = _guards(len(self._ctx), w)
+        if len(dterms) == 1:
+            (dm, dc), = dterms.items()
             quotient = {}
             for m, c in self._terms.items():
-                qm = m.div(dm)
-                if qm is None:
+                qm = m - dm
+                if qm & guards:
                     return None
                 quotient[qm] = _quotient(c, dc)
-            return Polynomial._raw(self._ctx, quotient)
-        nvars = len(self._ctx)
-        dm, dc = divisor.leading_term()
-        tail = [(m, c) for m, c in divisor._terms.items() if m != dm]
-        # the remainder is a private copy; the heap holds the grlex keys of its
-        # monomials, and a key whose monomial has since cancelled is skipped
+            return Polynomial._raw(self._ctx, quotient, w)
+        dm = max(dterms)
+        dc = dterms[dm]
+        tail = [(m, c) for m, c in dterms.items() if m != dm]
+        # the remainder is a private copy; the heap holds its negated keys,
+        # and a key whose term has since cancelled is skipped
         rest = dict(self._terms)
-        by_key = {m.grlex_key(nvars, -1): m for m in rest}
-        heap = list(by_key)
+        heap = [-m for m in rest]
         heapify(heap)
-        quotient: dict[Monomial, int | Fraction] = {}
+        quotient: dict[int, int | Fraction] = {}
         while heap:
-            rm = by_key[heappop(heap)]
+            rm = -heappop(heap)
             rc = rest.pop(rm, None)
             if rc is None:
                 continue
-            qm = rm.div(dm)
-            if qm is None:
+            qm = rm - dm
+            if qm & guards:
                 return None
             qc = _quotient(rc, dc)
             quotient[qm] = qc
             for tm, tc in tail:
-                m = qm * tm
+                m = qm + tm
                 acc = rest.get(m)
                 if acc is None:
                     rest[m] = -qc * tc
-                    key = m.grlex_key(nvars, -1)
-                    heappush(heap, key)
-                    by_key[key] = m
+                    heappush(heap, -m)
                 else:
                     total = acc - qc * tc
                     if total:
                         rest[m] = total
                     else:
                         del rest[m]
-        return Polynomial._raw(self._ctx, quotient)
+        return Polynomial._raw(self._ctx, quotient, w)
 
     def exact_div(self, divisor: Polynomial) -> Polynomial:
         q = self.try_exact_div(divisor)
@@ -457,20 +449,29 @@ class Polynomial:
             raise ValueError(f"({divisor}) does not divide ({self})")
         return q
 
-    def monomial_content(self) -> Monomial:
-        """The largest monomial dividing every term (1 for the zero polynomial)."""
-        result = None
-        for m in self._terms:
-            result = m if result is None else result.gcd(m)
-            if result.is_one():
-                break
-        return result if result is not None else _ONE_MONOMIAL
-
-    def _strip_monomial_content(self) -> tuple[Monomial, Polynomial]:
-        m = self.monomial_content()
-        if m.is_one():
-            return m, self
-        return m, Polynomial._raw(self._ctx, {mono.div(m): c for mono, c in self._terms.items()})
+    def _strip_monomial_content(self) -> tuple[Polynomial, Polynomial]:
+        """(m, self/m) for the largest monomial m dividing every term, m with
+        coefficient 1; m is 1 for a constant term and for the zero polynomial."""
+        t, n, w = self._terms, len(self._ctx), self._w
+        if not t or 0 in t:
+            return Polynomial.one(self._ctx), self
+        guards, low = _guards(n, w), (1 << n * w) - 1
+        keys = iter(t)
+        g = next(keys) & low  # the variable fields of the content so far
+        for k in keys:
+            # a field of g|guards - k keeps its guard bit exactly when g's
+            # exponent there is >= k's; take k's exponent in those fields
+            ge = ((g | guards) - (k & low)) & guards
+            take = ge - (ge >> w - 1)
+            g = g & ~take | k & take
+            if not g:
+                return Polynomial.one(self._ctx), self
+        # field n-1 of g * (1 + 2**w + ... + 2**((n-1)*w)) sums g's fields
+        g |= (g * (guards >> w - 1) >> (n - 1) * w & (1 << w) - 1) << n * w
+        return (
+            Polynomial._raw(self._ctx, {g: 1}, w),
+            Polynomial._raw(self._ctx, {k - g: c for k, c in t.items()}, w),
+        )
 
     # -- evaluation, equality, printing ----------------------------------
 
@@ -483,7 +484,7 @@ class Polynomial:
                 raise ValueError(f"no value supplied for variable {name!r}")
             resolved[idx] = Fraction(values[name])
         total = Fraction(0)
-        for mono, coeff in self._terms.items():
+        for mono, coeff in self.terms().items():
             term = coeff
             for i, e in mono.powers:
                 term *= resolved[i] ** e
@@ -494,15 +495,21 @@ class Polynomial:
         """Reinterpret in a context that contains every used variable by name."""
         if new_ctx == self._ctx:
             return self
-        mapping = {
-            idx: new_ctx.index_of(self._ctx.name_of(idx)) for idx in self.var_indices()
-        }
-        # distinct names get distinct indices, so the terms stay clean; only
-        # the index order of a monomial's powers can change, and a sort fixes it
-        return Polynomial._raw(new_ctx, {
-            Monomial._make(tuple(sorted((mapping[i], e) for i, e in m._powers)), m._degree): c
-            for m, c in self._terms.items()
-        })
+        n, new_n, w = len(self._ctx), len(new_ctx), self._w
+        mask = (1 << w) - 1
+        # the degree field moves to the new top, and each used variable's
+        # field to its new index; the degree, and so the width, stays
+        moves = [
+            ((n - 1 - i) * w, (new_n - 1 - new_ctx.index_of(self._ctx.name_of(i))) * w)
+            for i in self.var_indices()
+        ]
+        terms = {}
+        for k, c in self._terms.items():
+            key = k >> n * w << new_n * w
+            for src, dst in moves:
+                key |= (k >> src & mask) << dst
+            terms[key] = c
+        return Polynomial._raw(new_ctx, terms, w)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -514,24 +521,19 @@ class Polynomial:
     def __hash__(self):
         return hash((self._ctx, frozenset(self._terms.items())))
 
-    def _format_monomial(self, mono: Monomial) -> str:
-        return "*".join(
-            self._ctx.name_of(i) if e == 1 else f"{self._ctx.name_of(i)}^{e}"
-            for i, e in mono.powers
-        )
-
     def __str__(self):
         if not self._terms:
             return "0"
+        n, w = len(self._ctx), self._w
+        fields = [(name, (n - 1 - i) * w) for i, name in enumerate(self._ctx.names)]
+        mask = (1 << w) - 1
         pieces = []
-        for mono, coeff in self.terms_grlex():
+        for key in sorted(self._terms, reverse=True):
+            coeff = self._terms[key]
             mag = -coeff if coeff < 0 else coeff
-            if mono.is_one():
-                body = str(mag)
-            elif mag == 1:
-                body = self._format_monomial(mono)
-            else:
-                body = f"{mag}*{self._format_monomial(mono)}"
+            powers = [(name, key >> shift & mask) for name, shift in fields]
+            mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e)
+            body = str(mag) if not key else mono if mag == 1 else f"{mag}*{mono}"
             if not pieces:
                 pieces.append(f"-{body}" if coeff < 0 else body)
             else:
@@ -564,7 +566,12 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return a.monic()
     ma, a1 = a._strip_monomial_content()
     mb, b1 = b._strip_monomial_content()
-    common = Polynomial._raw(a.context, {ma.gcd(mb): 1})
+    common = ma if ma.is_constant else mb
+    if not common.is_constant:
+        # the gcd of two monomials is the monomial content of their sum
+        w = max(ma._w, mb._w)
+        both = Polynomial._raw(a.context, {**ma._in_width(w), **mb._in_width(w)}, w)
+        common, _ = both._strip_monomial_content()
     if a1.is_constant or b1.is_constant:
         return common
     if a1 == b1:
@@ -595,13 +602,14 @@ def _gcd_core(a: Polynomial, b: Polynomial) -> Polynomial:
 
 def _to_univar(p: Polynomial, main: int) -> dict[int, Polynomial]:
     """View p as univariate in the main variable, coefficients in the rest."""
-    ctx = p.context
-    coeffs: dict[int, dict[Monomial, int | Fraction]] = {}
-    for mono, coeff in p.terms().items():
-        deg = mono.exponent(main)
-        rest = Monomial((i, e) for i, e in mono.powers if i != main)
-        coeffs.setdefault(deg, {})[rest] = coeff
-    return {d: Polynomial(ctx, t) for d, t in coeffs.items()}
+    ctx, w = p.context, p._w
+    top, shift, mask = len(ctx) * w, (len(ctx) - 1 - main) * w, (1 << w) - 1
+    coeffs: dict[int, dict[int, int | Fraction]] = {}
+    for key, coeff in p._terms.items():
+        deg = key >> shift & mask
+        # clear the main variable's field and take its exponent off the degree
+        coeffs.setdefault(deg, {})[key - (deg << shift) - (deg << top)] = coeff
+    return {d: Polynomial._raw(ctx, t, w) for d, t in coeffs.items()}
 
 
 def _from_univar(u: dict[int, Polynomial], main: int, ctx: VarContext) -> Polynomial:

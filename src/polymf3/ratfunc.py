@@ -220,9 +220,9 @@ class RationalFunction:
     @staticmethod
     def _atomic(p: Polynomial) -> bool:
         """True when str(p) needs no parentheses inside a num/den quotient."""
-        if len(p.terms()) != 1:
+        if len(p) != 1:
             return False
-        (mono, coeff), = p.terms().items()
+        mono, coeff = p.leading_term()
         if mono.is_one():
             return coeff >= 0 and coeff.denominator == 1
         return coeff == 1 and len(mono.powers) == 1
