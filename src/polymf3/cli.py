@@ -84,8 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(args, text: str):
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise PolymfError(f"cannot write {args.out}: {exc}") from None
     else:
         sys.stdout.write(text)
 

@@ -272,6 +272,8 @@ class SuiteResult:
 
 def run_laws(seed: int = 1, cases: int = 25, suites=None) -> list[SuiteResult]:
     """Run every law suite with a per-suite rng derived from the seed."""
+    if cases < 0:
+        raise ValueError(f"the number of cases must be nonnegative, got {cases}")
     chosen = SUITES if suites is None else suites
     results = []
     for index, (name, case_fn) in enumerate(chosen):

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
+from string import ascii_letters, digits
 
 from .context import VarContext
 from .errors import ParseError, UnknownVariableError
@@ -40,6 +41,8 @@ class _Token:
 
 
 _OPS = set("+-*^/()")
+# ASCII only, as the grammar says: str.isdigit also takes '٣' and '²'
+_IDENT_CHARS = set(ascii_letters + digits + "_")
 
 MAX_NESTING = 100
 MAX_TERM_PRODUCTS = 10_000
@@ -61,16 +64,16 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in digits:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in digits:
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j
             continue
-        if ch.isalpha():
+        if ch in ascii_letters:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _IDENT_CHARS:
                 j += 1
             tokens.append(_Token("IDENT", text[i:j], i))
             i = j

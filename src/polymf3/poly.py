@@ -546,10 +546,13 @@ class Polynomial:
 
 # -- greatest common divisor ----------------------------------------------
 #
-# Recursive content/primitive-part reduction to a univariate problem in one
-# of the variables present, with a subresultant polynomial remainder
-# sequence on the primitive parts. Coefficients of the univariate view are
-# polynomials in the remaining variables, so the recursion terminates.
+# Shortcuts first (monomial content, equal parts, trial division); otherwise
+# _gcd_core picks a main variable x, splits each operand into its content in
+# x (the gcd of its coefficients in x, polynomials in the other variables, so
+# the recursion through gcd terminates) and its primitive part, and runs a
+# subresultant polynomial remainder sequence (Brown 1971; Geddes, Czapor and
+# Labahn 1992, ch. 7) on the primitive parts. Every step of the sequence is
+# whole-Polynomial arithmetic; _coefficients_in only reads off coefficients.
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -588,123 +591,75 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 def _gcd_core(a: Polynomial, b: Polynomial) -> Polynomial:
     # the shortest remainder sequence comes from the variable of lowest degree
     candidates = set(a.var_indices()) | set(b.var_indices())
-    main = min(
-        candidates, key=lambda i: (max(a.degree_in(i), b.degree_in(i)), i)
-    )
-    ua = _to_univar(a, main)
-    ub = _to_univar(b, main)
-    ca, pa = _content_and_primitive(ua)
-    cb, pb = _content_and_primitive(ub)
-    cont_gcd = gcd(ca, cb)
-    prim_gcd = _subresultant_prs_gcd(pa, pb)
-    return cont_gcd * _from_univar(prim_gcd, main, a.context)
+    x = min(candidates, key=lambda i: (max(a.degree_in(i), b.degree_in(i)), i))
+    ca, pa = _content_and_primitive(a, x)
+    cb, pb = _content_and_primitive(b, x)
+    return gcd(ca, cb) * _subresultant_prs_gcd(pa, pb, x)
 
 
-def _to_univar(p: Polynomial, main: int) -> dict[int, Polynomial]:
-    """View p as univariate in the main variable, coefficients in the rest."""
+def _coefficients_in(p: Polynomial, x: int) -> dict[int, Polynomial]:
+    """p's coefficients in the variable x, keyed by degree in x; each is free of x."""
     ctx, w = p.context, p._w
-    top, shift, mask = len(ctx) * w, (len(ctx) - 1 - main) * w, (1 << w) - 1
+    top, shift, mask = len(ctx) * w, (len(ctx) - 1 - x) * w, (1 << w) - 1
     coeffs: dict[int, dict[int, int | Fraction]] = {}
     for key, coeff in p._terms.items():
         deg = key >> shift & mask
-        # clear the main variable's field and take its exponent off the degree
+        # clear x's field and take its exponent off the degree
         coeffs.setdefault(deg, {})[key - (deg << shift) - (deg << top)] = coeff
     return {d: Polynomial._raw(ctx, t, w) for d, t in coeffs.items()}
 
 
-def _from_univar(u: dict[int, Polynomial], main: int, ctx: VarContext) -> Polynomial:
-    xpow = {d: Polynomial(ctx, {Monomial(((main, d),)): 1}) for d in u if d}
-    total = Polynomial.zero(ctx)
-    for d, coeff in u.items():
-        total = total + (coeff * xpow[d] if d else coeff)
-    return total
-
-
-def _uni_degree(u) -> int:
-    return max(u) if u else -1
-
-
-def _uni_scale(u, factor: Polynomial):
-    return {d: c * factor for d, c in u.items()}
-
-
-def _uni_sub(u, v):
-    out = dict(u)
-    for d, c in v.items():
-        total = out.get(d)
-        total = -c if total is None else total - c
-        if total.is_zero:
-            out.pop(d, None)
-        else:
-            out[d] = total
-    return out
-
-
-def _uni_prem(f, g):
-    """Pseudo-remainder of f by g: lc(g)^(deg f - deg g + 1) * f mod g."""
-    df, dg = _uni_degree(f), _uni_degree(g)
-    lc_g = g[dg]
-    n = df - dg + 1
-    r = dict(f)
-    while r and (dr := max(r)) >= dg:
-        lc_r = r[dr]
-        shift = dr - dg
-        n -= 1
-        r = _uni_sub(
-            _uni_scale(r, lc_g),
-            {d + shift: c * lc_r for d, c in g.items()},
-        )
-    if n > 0:
-        factor = lc_g**n
-        r = _uni_scale(r, factor)
-    return r
-
-
-def _uni_exact_div(u, divisor: Polynomial):
-    out = {}
-    for d, c in u.items():
-        q = c.try_exact_div(divisor)
-        if q is None:
-            raise ArithmeticError("inexact division inside the subresultant sequence")
-        out[d] = q
-    return out
-
-
-def _content_and_primitive(u):
-    coeffs = list(u.values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
+def _content_and_primitive(p: Polynomial, x: int) -> tuple[Polynomial, Polynomial]:
+    """(c, p/c) for c the gcd of p's coefficients in x (one coefficient is c itself)."""
+    content, *rest = _coefficients_in(p, x).values()
+    for c in rest:
         content = gcd(content, c)
         if content.is_one:
             break
-    if content.is_one:
-        return content, u
-    return content, _uni_exact_div(u, content)
+    return content, (p if content.is_one else p.exact_div(content))
 
 
-def _subresultant_prs_gcd(f, g):
-    """Primitive gcd of two primitive univariate polynomials (dict views)."""
-    if _uni_degree(f) < _uni_degree(g):
-        f, g = g, f
-    ctx = next(iter(f.values())).context
-    one = Polynomial.one(ctx)
-    lead = one
-    psi = one
+def _prem(f: Polynomial, g: Polynomial, x: int) -> Polynomial:
+    """Pseudo-remainder in x: lc(g)^(deg f - deg g + 1) * f mod g, where lc and
+    deg are taken in x. Each step cancels f's leading coefficient in x."""
+    ctx = f.context
+    coeffs = _coefficients_in(g, x)
+    dg = max(coeffs)
+    lc_g = coeffs[dg]
+    coeffs = _coefficients_in(f, x)
+    n = max(coeffs) - dg + 1
+    while coeffs and (df := max(coeffs)) >= dg:
+        lc_f = coeffs[df]
+        if df > dg:  # times x^(df - dg)
+            w = _width(df - dg)
+            lc_f = lc_f * Polynomial._raw(ctx, {_pack([(x, df - dg)], len(ctx), w): 1}, w)
+        f = f * lc_g - lc_f * g
+        coeffs = _coefficients_in(f, x)
+        n -= 1
+    return f * lc_g**n if n > 0 else f
+
+
+def _subresultant_prs_gcd(f: Polynomial, g: Polynomial, x: int) -> Polynomial:
+    """Primitive gcd of two polynomials that are primitive in x."""
+    df, dg = f.degree_in(x), g.degree_in(x)
+    if df < dg:
+        f, g, df, dg = g, f, dg, df
+    one = Polynomial.one(f.context)
+    lead = psi = one
     while True:
-        delta = _uni_degree(f) - _uni_degree(g)
-        r = _uni_prem(f, g)
-        if not r:
+        r = _prem(f, g, x)
+        if r.is_zero:
             break
-        divisor = lead * psi**delta
-        f, g = g, _uni_exact_div(r, divisor)
-        if _uni_degree(g) == 0:
-            return {0: one}  # a nonzero constant remainder: primitive parts are coprime
-        lead = f[_uni_degree(f)]
+        delta = df - dg
+        f, g = g, r.exact_div(lead * psi**delta)
+        df, dg = dg, g.degree_in(x)
+        if dg == 0:
+            return one  # a nonzero remainder free of x: primitive parts are coprime
+        lead = _coefficients_in(f, x)[df]
         if delta == 1:
             psi = lead
         elif delta > 1:
             psi = (lead**delta).exact_div(psi ** (delta - 1))
-    if _uni_degree(g) == 0:
-        return {0: one}
-    _, primitive = _content_and_primitive(g)
-    return primitive
+    if dg == 0:
+        return one
+    return _content_and_primitive(g, x)[1]

@@ -121,18 +121,14 @@ class RationalFunction:
         # Henrici's scheme: reduce against the denominators' gcd only, which
         # keeps every gcd call small even when numerators are large
         g0 = gcd(self._den, other._den)
-        if g0.is_one:
-            num = self._num * other._den + other._num * self._den
-            den = self._den * other._den
-        else:
-            d1r = self._den.exact_div(g0)
-            d2r = other._den.exact_div(g0)
-            num = self._num * d2r + other._num * d1r
-            h = gcd(num, g0)
-            den = self._den * d2r
-            if not h.is_one:
-                num = num.exact_div(h)
-                den = den.exact_div(h)
+        d1r = self._den.exact_div(g0)
+        d2r = other._den.exact_div(g0)
+        num = self._num * d2r + other._num * d1r
+        h = gcd(num, g0)
+        den = self._den * d2r
+        if not h.is_one:
+            num = num.exact_div(h)
+            den = den.exact_div(h)
         if num.is_zero:
             return RationalFunction.zero(self.context)
         return RationalFunction._raw(*_monic(num, den))

@@ -185,13 +185,13 @@ def verify_obj(obj) -> VerifyReport:
 # -- aligned text --------------------------------------------------------------
 
 
-def format_matrix(m: RatMatrix, indent: str = "  ") -> str:
+def format_matrix(m: RatMatrix) -> str:
     grid = [[str(e) for e in m.row(i)] for i in range(m.rows)]
     widths = [max(len(grid[i][j]) for i in range(m.rows)) for j in range(m.cols)]
     lines = []
     for row in grid:
         cells = "  ".join(cell.ljust(w) for cell, w in zip(row, widths))
-        lines.append(f"{indent}[ {cells} ]")
+        lines.append(f"  [ {cells} ]")
     return "\n".join(lines)
 
 

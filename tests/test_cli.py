@@ -147,6 +147,12 @@ def test_laws_zero_cases(capsys):
     assert code == 0 and "all suites PASS" in out
 
 
+def test_laws_negative_cases_exit_2(capsys):
+    code, out, err = run(capsys, "laws", "--cases", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: the number of cases must be nonnegative, got -3\n"
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "factor2", "x +* y")
     assert code == 2 and "error" in err

@@ -64,6 +64,23 @@ def test_syntax_error_reports_position(ctx):
         parse_polynomial("x / y", ctx)  # no division operator
 
 
+@pytest.mark.parametrize(
+    "text, char, pos",
+    [
+        ("x^\u0663", "\u0663", 2),
+        ("\u00b2", "\u00b2", 0),
+        ("x\u0663 + 1", "\u0663", 1),
+        ("y\u00e9", "\u00e9", 1),
+    ],
+    ids=["arabic-indic-exponent", "superscript-two", "digit-in-identifier", "accented-letter"],
+)
+def test_only_ascii_digits_and_letters_are_tokens(ctx, text, char, pos):
+    for context in (ctx, None):
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, context)
+        assert str(err.value) == f"unexpected character {char!r} (at position {pos})"
+
+
 def test_unknown_variable(ctx):
     with pytest.raises(UnknownVariableError):
         parse_polynomial("x + w", ctx)

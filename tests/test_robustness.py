@@ -223,3 +223,25 @@ def test_verify_fails_a_morphism_between_factorizations_of_different_targets(tmp
     assert out.splitlines()[-1].startswith(
         "verification: FAIL (source and target factor different polynomials"
     )
+
+
+def test_an_unwritable_out_path_exits_1_with_one_line(tmp_path, capsys):
+    target = tmp_path / "missing" / "f.json"
+    code, out, err = run(capsys, "factor2", "x + y", "--out", str(target))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "new, pos", [("x^\u0663", 2), ("\u00b2", 0)], ids=["arabic-indic-exponent", "superscript-two"]
+)
+def test_a_non_ascii_digit_is_a_parse_error_in_factor2_and_verify(tmp_path, capsys, new, pos):
+    path, obj = stored(capsys, tmp_path, ["factor2", "x^3 + y^3", "--format", "json"])
+    assert obj["P"]["entries"][0][0] == "x^3"
+    obj["P"]["entries"][0][0] = new
+    path.write_text(json.dumps(obj))
+    expected = f"error: unexpected character {new[pos]!r} (at position {pos})\n"
+    for argv in (["factor2", new + " + y^3"], ["verify", str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", expected)
