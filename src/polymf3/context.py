@@ -18,7 +18,9 @@ class VarContext:
     the same order.
     """
 
-    __slots__ = ("_names", "_index")
+    # _n, the number of names, is a plain attribute so that the polynomial
+    # kernel reads its field count without a Python-level __len__ call
+    __slots__ = ("_names", "_index", "_n")
 
     def __init__(self, names):
         if isinstance(names, str):
@@ -33,13 +35,14 @@ class VarContext:
             seen[name] = i
         self._names = names
         self._index = seen
+        self._n = len(names)
 
     @property
     def names(self) -> tuple[str, ...]:
         return self._names
 
     def __len__(self):
-        return len(self._names)
+        return self._n
 
     def __contains__(self, name):
         return name in self._index
@@ -82,7 +85,7 @@ def same_context(*objects):
     """Return the shared context of the arguments, or raise ContextError."""
     ctx = objects[0].context
     for obj in objects[1:]:
-        if obj.context != ctx:
+        if obj.context is not ctx and obj.context != ctx:
             raise ContextError(
                 f"mixed variable contexts: {ctx!r} vs {obj.context!r}"
             )

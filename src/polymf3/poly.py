@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, reduce
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from operator import or_
 
 from .context import VarContext, same_context
@@ -79,6 +80,25 @@ def _unpack(key: int, n: int, w: int) -> list[int]:
 def _guards(n: int, w: int) -> int:
     """The guard bits of the n variable fields of width w."""
     return sum(1 << (j * w + w - 1) for j in range(n))
+
+
+def _min_fields(keys, n: int, w: int) -> int:
+    """The key of the gcd of the monomials keyed by keys (width w): the
+    per-field minimum, with its total degree; 0, the monomial 1, as soon as
+    the minimum reaches it."""
+    guards, low = _guards(n, w), (1 << n * w) - 1
+    keys = iter(keys)
+    g = next(keys) & low  # the variable fields of the gcd so far
+    for k in keys:
+        # a field of g|guards - k keeps its guard bit exactly when g's
+        # exponent there is >= k's; take k's exponent in those fields
+        ge = ((g | guards) - (k & low)) & guards
+        take = ge - (ge >> w - 1)
+        g = g & ~take | k & take
+        if not g:
+            return 0
+    # field n-1 of g * (1 + 2**w + ... + 2**((n-1)*w)) sums g's fields
+    return g | (g * (guards >> w - 1) >> (n - 1) * w & (1 << w) - 1) << n * w
 
 
 class Monomial:
@@ -146,7 +166,7 @@ class Polynomial:
         if isinstance(terms, dict):
             terms = terms.items()
         cleaned = {}
-        nvars = len(context)
+        nvars = context._n
         for mono, coeff in terms:
             coeff = _coeff(coeff)
             if not coeff:
@@ -197,7 +217,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, context: VarContext, name: str) -> Polynomial:
-        return cls._raw(context, {_pack([(context.index_of(name), 1)], len(context), 8): 1}, 8)
+        return cls._raw(context, {_pack([(context.index_of(name), 1)], context._n, 8): 1}, 8)
 
     # -- inspection ------------------------------------------------------
 
@@ -229,7 +249,7 @@ class Polynomial:
         return self._terms.values()
 
     def _exponents(self, key: int) -> list[int]:
-        return _unpack(key, len(self._ctx), self._w)
+        return _unpack(key, self._ctx._n, self._w)
 
     def terms(self) -> dict[Monomial, int | Fraction]:
         return {Monomial(enumerate(self._exponents(k))): c for k, c in self._terms.items()}
@@ -245,7 +265,7 @@ class Polynomial:
         """Maximum term degree; -1 for the zero polynomial."""
         if not self._terms:
             return -1
-        return max(self._terms) >> len(self._ctx) * self._w
+        return max(self._terms) >> self._ctx._n * self._w
 
     def leading_term(self) -> tuple[Monomial, int | Fraction]:
         coeff = self.leading_coefficient()
@@ -261,21 +281,21 @@ class Polynomial:
         return tuple(i for i, e in enumerate(self._exponents(used)) if e)
 
     def degree_in(self, index: int) -> int:
-        shift, mask = (len(self._ctx) - 1 - index) * self._w, (1 << self._w) - 1
+        shift, mask = (self._ctx._n - 1 - index) * self._w, (1 << self._w) - 1
         return max((k >> shift & mask for k in self._terms), default=-1)
 
     def _in_width(self, w: int) -> dict:
         """The term dict packed in width w, which must hold self's degree."""
         if w == self._w:
             return self._terms
-        n = len(self._ctx)
+        n = self._ctx._n
         return {_pack(enumerate(_unpack(k, n, self._w)), n, w): c for k, c in self._terms.items()}
 
     # -- arithmetic ------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            if other._ctx != self._ctx:
+            if other._ctx is not self._ctx and other._ctx != self._ctx:
                 raise ContextError("polynomials from different variable contexts")
             return other
         if isinstance(other, (int, Fraction)):
@@ -320,7 +340,7 @@ class Polynomial:
         if not self._terms or not other._terms:
             return Polynomial.zero(self._ctx)
         # leading terms never cancel, so the degrees add and fix the width
-        n = len(self._ctx)
+        n = self._ctx._n
         w = _width((max(self._terms) >> n * self._w) + (max(other._terms) >> n * other._w))
         right = other._in_width(w).items()
         product: dict[int, int | Fraction] = {}
@@ -394,13 +414,15 @@ class Polynomial:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._terms:
             return Polynomial.zero(self._ctx)
+        if divisor.is_one:
+            return self
         w = self._w
         if divisor._w > w:
             return None  # the divisor's degree exceeds self's
         # every remainder term, and so every product below, has degree at
         # most self's, so width w holds them all
         dterms = divisor._in_width(w)
-        guards = _guards(len(self._ctx), w)
+        guards = _guards(self._ctx._n, w)
         if len(dterms) == 1:
             (dm, dc), = dterms.items()
             quotient = {}
@@ -452,22 +474,9 @@ class Polynomial:
     def _strip_monomial_content(self) -> tuple[Polynomial, Polynomial]:
         """(m, self/m) for the largest monomial m dividing every term, m with
         coefficient 1; m is 1 for a constant term and for the zero polynomial."""
-        t, n, w = self._terms, len(self._ctx), self._w
-        if not t or 0 in t:
+        t, w = self._terms, self._w
+        if not t or 0 in t or not (g := _min_fields(t, self._ctx._n, w)):
             return Polynomial.one(self._ctx), self
-        guards, low = _guards(n, w), (1 << n * w) - 1
-        keys = iter(t)
-        g = next(keys) & low  # the variable fields of the content so far
-        for k in keys:
-            # a field of g|guards - k keeps its guard bit exactly when g's
-            # exponent there is >= k's; take k's exponent in those fields
-            ge = ((g | guards) - (k & low)) & guards
-            take = ge - (ge >> w - 1)
-            g = g & ~take | k & take
-            if not g:
-                return Polynomial.one(self._ctx), self
-        # field n-1 of g * (1 + 2**w + ... + 2**((n-1)*w)) sums g's fields
-        g |= (g * (guards >> w - 1) >> (n - 1) * w & (1 << w) - 1) << n * w
         return (
             Polynomial._raw(self._ctx, {g: 1}, w),
             Polynomial._raw(self._ctx, {k - g: c for k, c in t.items()}, w),
@@ -493,9 +502,9 @@ class Polynomial:
 
     def in_context(self, new_ctx: VarContext) -> Polynomial:
         """Reinterpret in a context that contains every used variable by name."""
-        if new_ctx == self._ctx:
+        if new_ctx is self._ctx or new_ctx == self._ctx:
             return self
-        n, new_n, w = len(self._ctx), len(new_ctx), self._w
+        n, new_n, w = self._ctx._n, new_ctx._n, self._w
         mask = (1 << w) - 1
         # the degree field moves to the new top, and each used variable's
         # field to its new index; the degree, and so the width, stays
@@ -516,7 +525,7 @@ class Polynomial:
             other = Polynomial.constant(self._ctx, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self._ctx == other._ctx and self._terms == other._terms
+        return (self._ctx is other._ctx or self._ctx == other._ctx) and self._terms == other._terms
 
     def __hash__(self):
         return hash((self._ctx, frozenset(self._terms.items())))
@@ -524,7 +533,7 @@ class Polynomial:
     def __str__(self):
         if not self._terms:
             return "0"
-        n, w = len(self._ctx), self._w
+        n, w = self._ctx._n, self._w
         fields = [(name, (n - 1 - i) * w) for i, name in enumerate(self._ctx.names)]
         mask = (1 << w) - 1
         pieces = []
@@ -546,13 +555,16 @@ class Polynomial:
 
 # -- greatest common divisor ----------------------------------------------
 #
-# Shortcuts first (monomial content, equal parts, trial division); otherwise
-# _gcd_core picks a main variable x, splits each operand into its content in
-# x (the gcd of its coefficients in x, polynomials in the other variables, so
-# the recursion through gcd terminates) and its primitive part, and runs a
-# subresultant polynomial remainder sequence (Brown 1971; Geddes, Czapor and
-# Labahn 1992, ch. 7) on the primitive parts. Every step of the sequence is
-# whole-Polynomial arithmetic; _coefficients_in only reads off coefficients.
+# Shortcuts first, cheapest first: a constant or single-term operand (a
+# monomial gcd), the monomial contents, equal parts, trial division, and a
+# proof of coprimality by modular images (_coprime_image). Only what they do
+# not settle reaches _gcd_core, which picks a main variable x, splits each
+# operand into its content in x (the gcd of its coefficients in x,
+# polynomials in the other variables, so the recursion through gcd
+# terminates) and its primitive part, and runs a subresultant polynomial
+# remainder sequence (Brown 1971; Geddes, Czapor and Labahn 1992, ch. 7) on
+# the primitive parts. Every step of the sequence is whole-Polynomial
+# arithmetic; _coefficients_in only reads off coefficients.
 
 
 def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -567,16 +579,13 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
         return b.monic()
     if b.is_zero:
         return a.monic()
+    if a.is_constant or b.is_constant:
+        return Polynomial.one(a._ctx)
+    if len(a._terms) == 1 or len(b._terms) == 1:
+        return _monomial_gcd(a, b)
     ma, a1 = a._strip_monomial_content()
     mb, b1 = b._strip_monomial_content()
-    common = ma if ma.is_constant else mb
-    if not common.is_constant:
-        # the gcd of two monomials is the monomial content of their sum
-        w = max(ma._w, mb._w)
-        both = Polynomial._raw(a.context, {**ma._in_width(w), **mb._in_width(w)}, w)
-        common, _ = both._strip_monomial_content()
-    if a1.is_constant or b1.is_constant:
-        return common
+    common = ma if ma.is_constant else mb if mb.is_constant else _monomial_gcd(ma, mb)
     if a1 == b1:
         return (common * a1).monic()
     # trial division first: full cancellation is the common case in practice
@@ -585,7 +594,121 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     low, high = (a1, b1) if a1.total_degree() <= b1.total_degree() else (b1, a1)
     if high.try_exact_div(low) is not None:
         return (common * low).monic()
+    if _coprime_image(a1, b1):
+        return common
     return (common * _gcd_core(a1, b1)).monic()
+
+
+def _monomial_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The gcd of every monomial of a and b, with coefficient 1; for a single
+    term a, that is gcd(a, b) up to a constant factor."""
+    w = max(a._w, b._w)
+    g = _min_fields(chain(a._in_width(w), b._in_width(w)), a._ctx._n, w)
+    return Polynomial._raw(a._ctx, {g: 1}, w)
+
+
+_P = (1 << 61) - 1  # a Mersenne prime: the modulus of the images
+_M64 = (1 << 64) - 1
+# a dense image costs memory linear in its degree and Euclid's algorithm
+# time quadratic; above this degree in a variable no proof is tried
+_IMAGE_MAX_DEGREE = 1000
+
+
+def _image_point(i: int) -> int:
+    """The value mod _P at which the images evaluate variable i: the
+    splitmix64 mix of i, so that no small algebraic relation (2*x - y, say,
+    as a point (c, 2c, 3c) would have) holds between the coordinates."""
+    z = (i + 1) * 0x9E3779B97F4A7C15 & _M64
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _M64
+    return (z ^ z >> 31) % _P
+
+
+def _coprime_image(a: Polynomial, b: Polynomial) -> bool:
+    """True when images mod _P prove that a and b have no common factor of
+    positive degree; False proves nothing, and the exact gcd must run.
+
+    A common factor g of positive degree uses some variable x, and then so
+    do a and b: with no variable in common, a and b are coprime. For a shared
+    x, map Z_(P)[vars] to F_P[x] by reducing coefficients mod P and
+    evaluating every other variable at _image_point; Z_(P), the rationals
+    whose denominator P does not divide, is a local ring and a UFD, and the
+    map is a ring homomorphism. By Gauss's lemma over Z_(P), g can be scaled
+    into Z_(P)[vars] so that a/g and b/g lie there too, so image(g) divides
+    image(a) and image(b). lc_x(a) = lc_x(g) * lc_x(a/g), so when lc_x(a)
+    survives the map, image(g) keeps the degree deg_x(g) > 0. Hence when
+    both leading coefficients in x survive and the two images are coprime,
+    no common factor uses x, and when that holds for every shared x, the
+    gcd is constant. There is no proof when a coefficient's denominator is
+    divisible by P, a leading coefficient in x vanishes at the point, a
+    degree exceeds _IMAGE_MAX_DEGREE, or the images have a common root.
+    """
+    used_a, used_b = a.var_indices(), b.var_indices()
+    shared = set(used_a).intersection(used_b)
+    if not shared:
+        return True
+    images_a, images_b = _images(a, used_a, shared), _images(b, used_b, shared)
+    if images_a is None or images_b is None:
+        return False
+    return all(_coprime_mod_p(images_a[x], images_b[x]) for x in shared)
+
+
+def _images(p: Polynomial, used, xs) -> dict[int, list[int]] | None:
+    """For each x in xs, p mod _P with every other variable at its
+    _image_point, as coefficients lowest degree first; None when a
+    denominator is divisible by _P, a degree in x exceeds _IMAGE_MAX_DEGREE
+    or a leading coefficient in x vanishes. used lists the variables of p."""
+    n, w = p._ctx._n, p._w
+    mask = (1 << w) - 1
+    fields = [(i, (n - 1 - i) * w, _image_point(i)) for i in used]
+    sparse: dict[int, dict[int, int]] = {x: {} for x in xs}
+    for key, c in p._terms.items():
+        if c.__class__ is int:
+            c %= _P
+        elif c.denominator % _P:
+            c = c.numerator * pow(c.denominator, -1, _P) % _P
+        else:
+            return None
+        powers = [(i, e, pow(v, e, _P)) for i, shift, v in fields if (e := key >> shift & mask)]
+        for x, image in sparse.items():
+            t, ex = c, 0
+            for i, e, power in powers:
+                if i == x:
+                    ex = e
+                else:
+                    t = t * power % _P
+            image[ex] = image.get(ex, 0) + t
+    images = {}
+    for x, image in sparse.items():
+        degree = max(image)
+        if degree > _IMAGE_MAX_DEGREE:
+            return None
+        dense = [0] * (degree + 1)
+        for e, t in image.items():
+            dense[e] = t % _P
+        if not dense[-1]:
+            return None
+        images[x] = dense
+    return images
+
+
+def _coprime_mod_p(f: list[int], g: list[int]) -> bool:
+    """Whether f and g over F_P (coefficients lowest degree first, leading
+    ones nonzero, g of positive degree) are coprime: Euclid's algorithm."""
+    while len(g) > 1:
+        dg, inv = len(g) - 1, pow(g[-1], -1, _P)
+        f = f[:]
+        for k in range(len(f) - 1, dg - 1, -1):
+            # cancel f's coefficient of x^k by c * x^(k-dg) * g
+            if c := f[k] * inv % _P:
+                for j in range(dg):
+                    f[k - dg + j] = (f[k - dg + j] - c * g[j]) % _P
+        f, g = g, f[:dg]
+        while g and not g[-1]:
+            g.pop()
+        if not g:
+            return False  # the last remainder, of positive degree, divides both
+    return True
 
 
 def _gcd_core(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -600,7 +723,7 @@ def _gcd_core(a: Polynomial, b: Polynomial) -> Polynomial:
 def _coefficients_in(p: Polynomial, x: int) -> dict[int, Polynomial]:
     """p's coefficients in the variable x, keyed by degree in x; each is free of x."""
     ctx, w = p.context, p._w
-    top, shift, mask = len(ctx) * w, (len(ctx) - 1 - x) * w, (1 << w) - 1
+    top, shift, mask = ctx._n * w, (ctx._n - 1 - x) * w, (1 << w) - 1
     coeffs: dict[int, dict[int, int | Fraction]] = {}
     for key, coeff in p._terms.items():
         deg = key >> shift & mask
@@ -632,7 +755,7 @@ def _prem(f: Polynomial, g: Polynomial, x: int) -> Polynomial:
         lc_f = coeffs[df]
         if df > dg:  # times x^(df - dg)
             w = _width(df - dg)
-            lc_f = lc_f * Polynomial._raw(ctx, {_pack([(x, df - dg)], len(ctx), w): 1}, w)
+            lc_f = lc_f * Polynomial._raw(ctx, {_pack([(x, df - dg)], ctx._n, w): 1}, w)
         f = f * lc_g - lc_f * g
         coeffs = _coefficients_in(f, x)
         n -= 1

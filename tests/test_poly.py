@@ -250,6 +250,43 @@ def test_division_by_a_constant_and_of_zero(gens):
     assert zero.try_exact_div(2) == zero
 
 
+def test_division_by_one_returns_the_dividend(gens):
+    x, y, _ = gens
+    p = 3 * x**2 - x * y + Fraction(1, 2)
+    assert p.try_exact_div(1) is p
+    assert p.try_exact_div(Polynomial.one(x.context)) is p
+
+
+def test_gcd_with_a_constant_or_single_term_operand_randomized(ctx):
+    """gcd(c, p) = 1, and gcd(c*m, p) is the exponent-wise minimum of m and
+    every monomial of p, with coefficient 1 (wide exponents included)."""
+    rng = random.Random(11)
+    for case in range(300):
+        p = random_polynomial(rng, ctx, max_terms=4, max_degree=3)
+        single = random_single_term(rng, ctx, 3)
+        if rng.random() < 0.3:
+            p = p * random_single_term(rng, ctx, 200)
+        if p.is_zero or single.is_zero:
+            continue
+        c = Polynomial.constant(ctx, Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+        assert gcd(c, p).is_one and gcd(p, c).is_one, case
+        exps = [single.leading_term()[0].exponent(i) for i in range(3)]
+        for mono in p.terms():
+            exps = [min(e, mono.exponent(i)) for i, e in enumerate(exps)]
+        expected = Polynomial(ctx, {Monomial(enumerate(exps)): 1})
+        for g in (gcd(single, p), gcd(p, single)):
+            assert g == expected and str(g) == str(expected), case
+            assert g.terms() == expected.terms() and hash(g) == hash(expected), case
+
+
+def test_equal_contexts_built_apart_mix(ctx):
+    x = Polynomial.variable(ctx, "x")
+    same = VarContext("x y z")
+    x2, y2, _ = same.gens()
+    assert x == x2 and x + x2 == 2 * x
+    assert gcd(x * y2 + x2, x**2) == x
+
+
 def test_monomial_sums_the_exponents_of_a_repeated_index(ctx):
     repeated = Monomial([(0, 1), (0, 2)])
     assert repeated == Monomial({0: 3}) and hash(repeated) == hash(Monomial({0: 3}))

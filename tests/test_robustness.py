@@ -1,11 +1,12 @@
 """verify checks every claim of an artifact; hostile expressions end cleanly."""
 
 import json
+import pathlib
 import time
 
 import pytest
 
-from polymf3 import MF2, Morphism3, RatMatrix, VarContext, promote
+from polymf3 import MF2, Morphism3, RatMatrix, VarContext, gcd, promote
 from polymf3.cli import main
 from polymf3.mf2 import MAX_SPLITS
 from polymf3.parsing import MAX_COEFFICIENT_BITS, MAX_NESTING
@@ -245,3 +246,25 @@ def test_a_non_ascii_digit_is_a_parse_error_in_factor2_and_verify(tmp_path, caps
     for argv in (["factor2", new + " + y^3"], ["verify", str(path)]):
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", expected)
+
+
+def test_gcd_with_huge_exponents_ends_at_once():
+    x, y = VarContext("x y").gens()
+    big = x ** (10**20)
+    start = time.monotonic()
+    assert gcd(big * y + 1, big + y**2 + 1).is_one
+    assert time.monotonic() - start < 2
+
+
+# tests/golden/factor2-monomials.json with P[0][0] replaced by the canonical
+# sum of three small random rational functions over x, y, z; the gcd that
+# parsing it needs ran for over a minute in the subresultant PRS
+HOSTILE = pathlib.Path(__file__).parent / "data" / "factor2-monomials-hostile-entry.json"
+
+
+def test_verify_fails_a_hostile_entry_within_10_s(capsys):
+    start = time.monotonic()
+    code, out, err = run(capsys, "verify", str(HOSTILE))
+    assert time.monotonic() - start < 10
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1].startswith("verification: FAIL (certificate failed: P*Q[0][0]")
