@@ -154,10 +154,12 @@ def tensor3_morphism(mf: Morphism3, mg: Morphism3) -> Morphism3:
     """Tensor two morphisms: componentwise Kronecker product of the triples.
 
     The result maps tensor3(sources) to tensor3(targets) and is re-certified
-    on construction.
+    on construction. For two endomorphisms the targets are the sources, so
+    their tensor product is built and certified once.
     """
     source = tensor3(mf.source, mg.source)
-    target = tensor3(mf.target, mg.target)
+    endo = mf.target is mf.source and mg.target is mg.source
+    target = source if endo else tensor3(mf.target, mg.target)
     return type(mf)(source, target, *_kron_pairs(mf.components, mg.components, source.context))
 
 

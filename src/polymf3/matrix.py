@@ -2,15 +2,24 @@
 
 Everything is exact and immutable. Sizes stay small (factorization
 matrices top out around 16x16 at desk scale), so storage is a flat
-row-major tuple and products skip zero entries rather than anything
-fancier.
+row-major tuple.
+
+A product builds each entry (i, j) from its nonzero terms A[i,k]*B[k,j] in
+one kernel. The terms with two polynomial factors are summed into one term
+dict (poly._dot); the others go through the fraction field's private
+_mul/_add, which skip coercion, and their Henrici sums skip the gcd when two
+denominators are equal. Within one product the same gcds and exact
+quotients recur, so the kernel memoizes them in a ratfunc._Memo that it
+drops when the product returns. Every result is canonical, so the entries
+are the ones a textbook triple loop of * and + would give.
 """
 
 from __future__ import annotations
 
 from .context import VarContext
 from .errors import ContextError, DimensionError
-from .ratfunc import RationalFunction
+from .poly import Polynomial, _dot
+from .ratfunc import RationalFunction, _Memo
 
 
 class RatMatrix:
@@ -27,7 +36,7 @@ class RatMatrix:
         for e in entries:
             if not isinstance(e, RationalFunction):
                 raise TypeError(f"matrix entry {e!r} is not a RationalFunction")
-            if e.context != ctx:
+            if e._num._ctx is not ctx and e._num._ctx != ctx:
                 raise ContextError("matrix entries from different variable contexts")
         self._ctx = ctx
         self._rows = rows
@@ -115,7 +124,7 @@ class RatMatrix:
     # -- algebra -----------------------------------------------------------
 
     def _check_ctx(self, other: RatMatrix):
-        if self._ctx != other._ctx:
+        if self._ctx is not other._ctx and self._ctx != other._ctx:
             raise ContextError("matrices from different variable contexts")
 
     def __matmul__(self, other: RatMatrix) -> RatMatrix:
@@ -126,19 +135,31 @@ class RatMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        zero = RationalFunction.zero(self._ctx)
+        ctx, n, m = self._ctx, self._cols, other._cols
+        zero, one = RationalFunction.zero(ctx), Polynomial.one(ctx)
+        memo = _Memo()
+        left = [_split(e) for e in self._entries]
+        right = [_split(e) for e in other._entries]
         out = []
         for i in range(self._rows):
-            acc = [zero] * other._cols
-            for k, a in enumerate(self.row(i)):
-                if a.is_zero:
-                    continue
-                brow = other.row(k)
-                for j, b in enumerate(brow):
-                    if not b.is_zero:
-                        acc[j] = acc[j] + a * b
-            out.extend(acc)
-        return RatMatrix._raw(self._ctx, self._rows, other._cols, tuple(out))
+            row = [(k, e) for k, e in enumerate(left[i * n : (i + 1) * n]) if e]
+            for j in range(m):
+                # entry (i, j): the products of two polynomials summed in one
+                # term dict, the others through the fraction field; the
+                # polynomial sum comes last, as it adds to a fraction with no gcd
+                polys, acc = [], zero
+                for k, (a, pa) in row:
+                    if (e := right[k * m + j]) is None:
+                        continue
+                    b, pb = e
+                    if pa is not None and pb is not None:
+                        polys.append((pa, pb))
+                    else:
+                        acc = acc._add(a._mul(b, memo), memo)
+                if polys:
+                    acc = acc._add(RationalFunction._raw(_dot(ctx, polys), one), memo)
+                out.append(acc)
+        return RatMatrix._raw(ctx, self._rows, m, tuple(out))
 
     def __mul__(self, other):
         if isinstance(other, RatMatrix):
@@ -188,16 +209,18 @@ class RatMatrix:
     def kron(self, other: RatMatrix) -> RatMatrix:
         """Kronecker product: block (i, j) of the result is self[i,j] * other."""
         self._check_ctx(other)
-        rows = self._rows * other._rows
-        cols = self._cols * other._cols
-        entries = [None] * (rows * cols)
+        p, q = other._rows, other._cols
+        rows, cols = self._rows * p, self._cols * q
+        # the block of a zero entry of self stays as filled here
+        entries = [RationalFunction.zero(self._ctx)] * (rows * cols)
+        block = [other._entries[k * q : (k + 1) * q] for k in range(p)]
         for i in range(self._rows):
-            for j in range(self._cols):
-                a = self[i, j]
-                for k in range(other._rows):
-                    base = (i * other._rows + k) * cols + j * other._cols
-                    for l in range(other._cols):
-                        entries[base + l] = a * other[k, l]
+            for j, a in enumerate(self.row(i)):
+                if a.is_zero:
+                    continue
+                for k, brow in enumerate(block):
+                    base = (i * p + k) * cols + j * q
+                    entries[base : base + q] = [a._mul(b, None) for b in brow]
         return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
 
     def direct_sum(self, other: RatMatrix) -> RatMatrix:
@@ -242,6 +265,14 @@ class RatMatrix:
             ", ".join(str(e) for e in self.row(i)) for i in range(self._rows)
         )
         return f"RatMatrix({self._rows}x{self._cols}: [{body}])"
+
+
+def _split(e: RationalFunction) -> tuple[RationalFunction, Polynomial | None] | None:
+    """A product operand: None for 0, else (e, its numerator when its
+    denominator is 1, else None)."""
+    if not e._num._terms:
+        return None
+    return e, (e._num if e._den.is_one else None)
 
 
 def first_difference(a: RatMatrix, b: RatMatrix) -> tuple[int, int] | None:

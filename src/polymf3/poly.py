@@ -160,7 +160,9 @@ class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients (see _coeff)
     keyed by monomials packed in width _w (see the module docstring)."""
 
-    __slots__ = ("_ctx", "_terms", "_w")
+    # _hash caches __hash__ (None until first asked), as one matrix product's
+    # gcd memo (ratfunc._Memo) keys on polynomials
+    __slots__ = ("_ctx", "_terms", "_w", "_hash")
 
     def __init__(self, context: VarContext, terms=()):
         if isinstance(terms, dict):
@@ -185,6 +187,7 @@ class Polynomial:
         self._ctx = context
         self._terms = {_pack(m.powers, nvars, w): c for m, c in cleaned.items()}
         self._w = w
+        self._hash = None
 
     # -- construction ----------------------------------------------------
 
@@ -198,6 +201,7 @@ class Polynomial:
         out._ctx = context
         out._terms = terms
         out._w = w
+        out._hash = None
         if w > 8 and (fit := _width(out.total_degree())) < w:
             out._terms, out._w = out._in_width(fit), fit
         return out
@@ -528,7 +532,9 @@ class Polynomial:
         return (self._ctx is other._ctx or self._ctx == other._ctx) and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self._ctx, frozenset(self._terms.items())))
+        if self._hash is None:
+            self._hash = hash((self._ctx, frozenset(self._terms.items())))
+        return self._hash
 
     def __str__(self):
         if not self._terms:
@@ -551,6 +557,29 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _dot(context: VarContext, pairs) -> Polynomial:
+    """The sum of p*q over pairs (p, q) of nonzero polynomials of context,
+    summed into one term dict. It is packed at the width of the largest
+    product degree, and the one _raw at the end narrows it when leading
+    terms cancel."""
+    n = context._n
+    w = _width(max((max(p._terms) >> n * p._w) + (max(q._terms) >> n * q._w) for p, q in pairs))
+    acc: dict[int, int | Fraction] = {}
+    get = acc.get
+    for p, q in pairs:
+        right = q._in_width(w).items()
+        for m1, c1 in p._in_width(w).items():
+            for m2, c2 in right:
+                mono = m1 + m2
+                old = get(mono)
+                total = c1 * c2 if old is None else old + c1 * c2
+                if total:
+                    acc[mono] = total if total.__class__ is int else _coeff(total)
+                elif old is not None:
+                    del acc[mono]
+    return Polynomial._raw(context, acc, w)
 
 
 # -- greatest common divisor ----------------------------------------------

@@ -24,6 +24,42 @@ def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
     return num.scale(inverse), den.scale(inverse)
 
 
+class _Memo:
+    """The gcds and exact quotients of one matrix product, keyed by operand
+    pair. RatMatrix.__matmul__ makes one per product and drops it when the
+    product returns: within a product the same denominators meet again and
+    again, and a table that outlived it would only grow."""
+
+    __slots__ = ("gcds", "quotients")
+
+    def __init__(self):
+        self.gcds: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
+        self.quotients: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
+
+
+def _gcd(a: Polynomial, b: Polynomial, memo: _Memo | None) -> Polynomial:
+    """gcd(a, b), looked up in memo when there is one; a constant or
+    single-term operand goes to gcd's own shortcut, not to the memo."""
+    if memo is None or len(a._terms) < 2 or len(b._terms) < 2:
+        return gcd(a, b)
+    key = (a, b)
+    g = memo.gcds.get(key)
+    if g is None:
+        g = memo.gcds[key] = gcd(a, b)
+    return g
+
+
+def _div(a: Polynomial, b: Polynomial, memo: _Memo | None) -> Polynomial:
+    """The exact quotient a/b, looked up in memo like _gcd."""
+    if memo is None or len(b._terms) < 2:
+        return a.exact_div(b)
+    key = (a, b)
+    q = memo.quotients.get(key)
+    if q is None:
+        q = memo.quotients[key] = a.exact_div(b)
+    return q
+
+
 class RationalFunction:
     __slots__ = ("_num", "_den")
 
@@ -65,11 +101,11 @@ class RationalFunction:
     def from_value(cls, context: VarContext, value) -> RationalFunction:
         """Coerce a RationalFunction, Polynomial, int or Fraction."""
         if isinstance(value, RationalFunction):
-            if value.context != context:
+            if value._num._ctx is not context and value._num._ctx != context:
                 raise ContextError("rational function from a different context")
             return value
         if isinstance(value, Polynomial):
-            if value.context != context:
+            if value._ctx is not context and value._ctx != context:
                 raise ContextError("polynomial from a different context")
             return cls._raw(value, Polynomial.one(context))
         if isinstance(value, (int, Fraction)):
@@ -112,25 +148,39 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero:
+        return self._add(other, None)
+
+    def _add(self, other: RationalFunction, memo: _Memo | None) -> RationalFunction:
+        """self + other for a RationalFunction of the same context; memo as in _gcd."""
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        if not n1._terms:
             return other
-        if other.is_zero:
+        if not n2._terms:
             return self
-        if self._den.is_one and other._den.is_one:
-            return RationalFunction._raw(self._num + other._num, self._den)
-        # Henrici's scheme: reduce against the denominators' gcd only, which
-        # keeps every gcd call small even when numerators are large
-        g0 = gcd(self._den, other._den)
-        d1r = self._den.exact_div(g0)
-        d2r = other._den.exact_div(g0)
-        num = self._num * d2r + other._num * d1r
-        h = gcd(num, g0)
-        den = self._den * d2r
-        if not h.is_one:
-            num = num.exact_div(h)
-            den = den.exact_div(h)
-        if num.is_zero:
+        # Henrici's scheme: reduce against the denominators' gcd g0 only, which
+        # keeps every gcd call small even when numerators are large. Equal
+        # denominators are their own gcd with cofactors 1, and a denominator
+        # 1 leaves the other one coprime to the sum's numerator
+        if d1 is d2 or d1 == d2:
+            if d1.is_one:
+                return RationalFunction._raw(n1 + n2, d1)
+            num, den, g0 = n1 + n2, d1, d1
+        elif d2.is_one:
+            return RationalFunction._raw(n1 + n2 * d1, d1)
+        elif d1.is_one:
+            return RationalFunction._raw(n1 * d2 + n2, d2)
+        else:
+            g0 = _gcd(d1, d2, memo)
+            d1r = _div(d1, g0, memo)
+            d2r = _div(d2, g0, memo)
+            num = n1 * d2r + n2 * d1r
+            den = d1 * d2r
+        if not num._terms:
             return RationalFunction.zero(self.context)
+        h = _gcd(num, g0, memo)
+        if not h.is_one:
+            num = _div(num, h, memo)
+            den = _div(den, h, memo)
         return RationalFunction._raw(*_monic(num, den))
 
     __radd__ = __add__
@@ -154,16 +204,27 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        return self._mul(other, None)
+
+    def _mul(self, other: RationalFunction, memo: _Memo | None) -> RationalFunction:
+        """self * other for a RationalFunction of the same context; memo as in _gcd."""
+        n1, d1, n2, d2 = self._num, self._den, other._num, other._den
+        if not n1._terms or not n2._terms:
             return RationalFunction.zero(self.context)
-        if self._den.is_one and other._den.is_one:
-            return RationalFunction._raw(self._num * other._num, self._den)
+        if d1.is_one:
+            if d2.is_one:
+                return RationalFunction._raw(n1 * n2, d1)
+            n1, d1, n2, d2 = n2, d2, n1, d1
+        if d2.is_one:
+            # n1/d1 times the polynomial n2: only n2 and d1 can share a factor
+            g = _gcd(n2, d1, memo)
+            return RationalFunction._raw(*_monic(n1 * _div(n2, g, memo), _div(d1, g, memo)))
         # cross-reduce before multiplying; both inputs are canonical, so the
         # result is already reduced and only needs a monic denominator
-        g1 = gcd(self._num, other._den)
-        g2 = gcd(other._num, self._den)
-        num = self._num.exact_div(g1) * other._num.exact_div(g2)
-        den = self._den.exact_div(g2) * other._den.exact_div(g1)
+        g1 = _gcd(n1, d2, memo)
+        g2 = _gcd(n2, d1, memo)
+        num = _div(n1, g1, memo) * _div(n2, g2, memo)
+        den = _div(d1, g2, memo) * _div(d2, g1, memo)
         return RationalFunction._raw(*_monic(num, den))
 
     __rmul__ = __mul__

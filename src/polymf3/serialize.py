@@ -101,7 +101,10 @@ def morphism_to_obj(m: Morphism3) -> dict:
 
 def morphism_from_obj(obj) -> Morphism3:
     ctx = _context_from_obj(obj)
-    source, target = (factorization_from_obj(obj[key], MF3) for key in ("source", "target"))
+    source = factorization_from_obj(obj["source"], MF3)
+    # an endomorphism's target is its source: load and certify it once
+    target = obj["target"]
+    target = source if target == obj["source"] else factorization_from_obj(target, MF3)
     matrices = (matrix_from_obj(obj[name], ctx) for name in Morphism3.names)
     return Morphism3(source, target, *matrices)
 

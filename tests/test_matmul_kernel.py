@@ -1,0 +1,274 @@
+"""The matrix product kernel against a textbook triple loop, its sums against
+the general Henrici path, and certifying an endomorphism's tensor product once."""
+
+import gc
+import json
+import random
+from fractions import Fraction
+
+import pytest
+
+from polymf3 import MF3, Morphism3, Polynomial, RatMatrix, RationalFunction, VarContext
+from polymf3 import matrix as matrix_module
+from polymf3 import tensor3_morphism
+from polymf3.poly import gcd
+from polymf3.ratfunc import _Memo
+from polymf3.serialize import morphism_from_obj, morphism_to_obj
+
+CTX = VarContext("x y z")
+X, Y, Z = CTX.gens()
+# a few shared denominators, so that equal and unequal ones both meet in sums
+DENOMINATORS = [X + 1, X * Y - Z, Y**2 + Fraction(1, 3) * Z, X + 1, Z + 2]
+
+
+def _poly(rng: random.Random) -> Polynomial:
+    terms = rng.randint(1, 3)
+    out = Polynomial.zero(CTX)
+    for _ in range(terms):
+        c = rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+        out = out + c * X ** rng.randint(0, 2) * Y ** rng.randint(0, 2) * Z ** rng.randint(0, 1)
+    return out
+
+
+def _entry(rng: random.Random) -> RationalFunction:
+    roll = rng.random()
+    if roll < 0.25:
+        return RationalFunction.zero(CTX)
+    # a factor that some denominators have, so that products cancel and
+    # one operand meets several different gcds
+    num = _poly(rng) * rng.choice([1, 1, *DENOMINATORS])
+    if roll < 0.6:
+        return RationalFunction.from_value(CTX, num)
+    return RationalFunction(num, rng.choice(DENOMINATORS) * rng.choice([1, 1, Z + 2]))
+
+
+def _random_pair(rng: random.Random) -> tuple[RatMatrix, RatMatrix]:
+    n, k, m = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+    a = [[_entry(rng) for _ in range(k)] for _ in range(n)]
+    b = [[_entry(rng) for _ in range(m)] for _ in range(k)]
+    if n > 1:
+        a[rng.randrange(n)] = [RationalFunction.zero(CTX)] * k  # a zero row
+    if m > 1:
+        col = rng.randrange(m)
+        for row in b:
+            row[col] = RationalFunction.zero(CTX)  # a zero column
+    if k > 1:
+        # column 1 of a copies column 0 and row 1 of b negates row 0, so
+        # their terms cancel in every entry of the product
+        for row in a:
+            row[1] = row[0]
+        b[1] = [-e for e in b[0]]
+    return RatMatrix.from_rows(CTX, a), RatMatrix.from_rows(CTX, b)
+
+
+def _textbook(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = RationalFunction.zero(CTX)
+            for k in range(a.cols):
+                acc = acc + a[i, k] * b[k, j]
+            row.append(acc)
+        rows.append(row)
+    return RatMatrix.from_rows(CTX, rows)
+
+
+def _by_constructor(a: RatMatrix, b: RatMatrix) -> RatMatrix:
+    """The same loop with no fraction-field operator: every product and sum
+    is one num/den pair, reduced by the constructor's full gcd."""
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            num, den = Polynomial.zero(CTX), Polynomial.one(CTX)
+            for k in range(a.cols):
+                p, q = a[i, k], b[k, j]
+                tn, td = p.numerator * q.numerator, p.denominator * q.denominator
+                num, den = num * td + tn * den, den * td
+            row.append(RationalFunction(num, den))
+        rows.append(row)
+    return RatMatrix.from_rows(CTX, rows)
+
+
+def _assert_same(got: RatMatrix, want: RatMatrix):
+    assert got == want
+    assert hash(got) == hash(want)
+    assert repr(got) == repr(want)
+    for e, f in zip(got.row_lists(), want.row_lists()):
+        assert [str(v) for v in e] == [str(v) for v in f]
+        assert [hash(v) for v in e] == [hash(v) for v in f]
+        # equal polynomials share one packing width, whatever path built them
+        assert [(v.numerator._w, v.denominator._w) for v in e] == [
+            (v.numerator._w, v.denominator._w) for v in f
+        ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_product_matches_textbook_loop(seed):
+    a, b = _random_pair(random.Random(seed))
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    _assert_same(got, _by_constructor(a, b))
+
+
+def test_degree_falls_back_across_the_width_boundary():
+    # each product has degree 128 (16-bit fields); the sum of the polynomial
+    # terms, and of the fraction terms, cancels down to degree 65 (8-bit fields)
+    d = DENOMINATORS[1]
+    a = RatMatrix.from_rows(CTX, [[X**64, X**64, 1]])
+    b = RatMatrix.from_rows(
+        CTX,
+        [
+            [X**64 + Y, RationalFunction(X**64, d)],
+            [-(X**64) + Z, RationalFunction(-(X**64) + Y, d)],
+            [X, 0],
+        ],
+    )
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    _assert_same(got, _by_constructor(a, b))
+    assert got[0, 0] == RationalFunction(X**64 * (Y + Z) + X)
+    assert got[0, 1] == RationalFunction(X**64 * Y, d)
+    assert got[0, 0].numerator._w == got[0, 1].numerator._w == 8
+
+
+def test_entries_that_cancel_to_zero():
+    p, q = RationalFunction(X + Y, DENOMINATORS[0]), RationalFunction.from_value(CTX, Z * X)
+    a = RatMatrix.from_rows(CTX, [[p, p, q, q], [0, 0, 0, 0]])
+    b = RatMatrix.from_rows(CTX, [[q, 1], [-q, 0], [p, 0], [-p, 0]])
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    _assert_same(got, _by_constructor(a, b))
+    assert got[0, 0].is_zero and got[0, 0].denominator.is_one
+    assert got[1, 0].is_zero and got[1, 1].is_zero
+
+
+def test_one_operand_meets_different_gcds_in_one_product():
+    # the memo must key on both operands: B's entry has gcd x + 1 with the
+    # first denominator and z + 2 with the second
+    a = RatMatrix.from_rows(CTX, [[RationalFunction(Y, X + 1)], [RationalFunction(Y, Z + 2)]])
+    b = RatMatrix.from_rows(CTX, [[(X + 1) * (Z + 2) * Y]])
+    got = a @ b
+    _assert_same(got, _by_constructor(a, b))
+    assert got == RatMatrix.from_rows(CTX, [[(Z + 2) * Y**2], [(X + 1) * Y**2]])
+
+
+def test_each_product_makes_and_drops_its_own_memo(monkeypatch):
+    made = []
+
+    class Spy(_Memo):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(matrix_module, "_Memo", Spy)
+    a, b = _random_pair(random.Random(7))
+    a @ b
+    a @ b
+    assert len(made) == 2 and made[0] is not made[1]
+    made.clear()
+    gc.collect()
+    assert not [o for o in gc.get_objects() if isinstance(o, _Memo)]
+
+
+# -- equal denominators ------------------------------------------------------
+
+
+def _henrici(p: RationalFunction, q: RationalFunction) -> RationalFunction:
+    """The general Henrici sum, with no shortcut for equal denominators."""
+    (n1, d1), (n2, d2) = (p.numerator, p.denominator), (q.numerator, q.denominator)
+    g0 = gcd(d1, d2)
+    d1r, d2r = d1.exact_div(g0), d2.exact_div(g0)
+    num, den = n1 * d2r + n2 * d1r, d1 * d2r
+    h = gcd(num, g0)
+    return RationalFunction(num.exact_div(h), den.exact_div(h))
+
+
+def _coprime_to(d: Polynomial, make) -> Polynomial:
+    while True:
+        num = make()
+        if not num.is_zero and gcd(num, d).is_one:
+            return num
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_equal_denominator_sum_matches_general_henrici(seed):
+    rng = random.Random(1000 + seed)
+    base = rng.choice(DENOMINATORS[:3])
+    d = base * rng.choice([1, X, Y + Z])
+    n1 = _coprime_to(d, lambda: _poly(rng))
+    # every other case, the numerators sum to a multiple of base, so the sum
+    # must be reduced by a gcd h that is not 1
+    n2 = _coprime_to(d, (lambda: base * _poly(rng) - n1) if seed % 2 else (lambda: _poly(rng)))
+    p, q = RationalFunction(n1, d), RationalFunction(n2, d)
+    assert p.denominator == q.denominator == d
+    want = _henrici(p, q)
+    for got in (p + q, p._add(q, None), p._add(q, _Memo())):
+        assert got == want and str(got) == str(want) and hash(got) == hash(want)
+    if seed % 2:
+        assert want.denominator != d
+    assert p + (-p) == RationalFunction.zero(CTX)
+    assert (p + (-p)).denominator.is_one
+
+
+def test_equal_denominator_sum_reduces_a_shared_factor():
+    d = (X + 1) * (Y - 2)
+    # the numerators sum to (y - 2)*z, which shares y - 2 with d
+    p, q = RationalFunction(Y, d), RationalFunction(Y * Z - 2 * Z - Y, d)
+    got = p + q
+    assert p.denominator == q.denominator == d
+    assert got == _henrici(p, q)
+    assert (got.numerator, got.denominator) == (Z, X + 1)
+
+
+# -- an endomorphism's tensor product is certified once ------------------------
+
+
+@pytest.fixture
+def endomorphisms():
+    from polymf3.laws import random_mf3, random_scalar_endomorphism
+
+    rng = random.Random(5)
+    f, g = random_mf3(rng, VarContext("a b")), random_mf3(rng, VarContext("c"))
+    return random_scalar_endomorphism(rng, f), random_scalar_endomorphism(rng, g)
+
+
+def _count_mf3_inits(monkeypatch) -> list:
+    calls = []
+    original = MF3.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(MF3, "__init__", spy)
+    return calls
+
+
+def test_tensor_of_endomorphisms_certifies_one_mf3(monkeypatch, endomorphisms):
+    mf, mg = endomorphisms
+    calls = _count_mf3_inits(monkeypatch)
+    t = tensor3_morphism(mf, mg)
+    assert len(calls) == 1
+    assert t.target is t.source
+
+
+def test_tensor_of_other_morphisms_certifies_both_ends(monkeypatch, endomorphisms):
+    mf, mg = endomorphisms
+    # same source and target objects, but built apart: not an endomorphism by identity
+    other = Morphism3(mf.source, MF3(*mf.source.components, mf.source.target), *mf.components)
+    calls = _count_mf3_inits(monkeypatch)
+    t = tensor3_morphism(other, mg)
+    assert len(calls) == 2
+    assert t.target == t.source and t.target is not t.source
+
+
+def test_loading_an_endomorphism_certifies_its_factorization_once(monkeypatch, endomorphisms):
+    obj = json.loads(json.dumps(morphism_to_obj(endomorphisms[0])))
+    calls = _count_mf3_inits(monkeypatch)
+    m = morphism_from_obj(obj)
+    assert len(calls) == 1 and m.target is m.source
+    assert m == endomorphisms[0]
