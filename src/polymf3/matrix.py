@@ -7,11 +7,13 @@ row-major tuple.
 A product builds each entry (i, j) from its nonzero terms A[i,k]*B[k,j] in
 one kernel. The terms with two polynomial factors are summed into one term
 dict (poly._dot); the others go through the fraction field's private
-_mul/_add, which skip coercion, and their Henrici sums skip the gcd when two
-denominators are equal. Within one product the same gcds and exact
-quotients recur, so the kernel memoizes them in a ratfunc._Memo that it
-drops when the product returns. Every result is canonical, so the entries
-are the ones a textbook triple loop of * and + would give.
+_mul/_add, which skip coercion. Within one product the denominators are
+products of a few factors, so the kernel, and a matrix times a scalar,
+hands those private operators a ratfunc._Memo over both operands' entries:
+it factors the denominators over a certified coprime base, which turns
+their gcds into trial divisions, and it is dropped when the product
+returns. Every result is canonical, so the entries are the ones a textbook
+triple loop of * and + would give.
 """
 
 from __future__ import annotations
@@ -138,6 +140,7 @@ class RatMatrix:
         ctx, n, m = self._ctx, self._cols, other._cols
         zero, one = RationalFunction.zero(ctx), Polynomial.one(ctx)
         memo = _Memo()
+        memo.operands = (self._entries, other._entries)
         left = [_split(e) for e in self._entries]
         right = [_split(e) for e in other._entries]
         out = []
@@ -168,7 +171,11 @@ class RatMatrix:
             v = RationalFunction.from_value(self._ctx, other)
         except TypeError:
             return NotImplemented
-        return self.map_entries(lambda e: e * v)
+        memo = _Memo()
+        memo.operands = (self._entries, (v,))
+        return RatMatrix._raw(
+            self._ctx, self._rows, self._cols, tuple(e._mul(v, memo) for e in self._entries)
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -211,7 +218,8 @@ class RatMatrix:
         self._check_ctx(other)
         p, q = other._rows, other._cols
         rows, cols = self._rows * p, self._cols * q
-        # the block of a zero entry of self stays as filled here
+        # the block of a zero entry of self stays as filled here, and the
+        # block of an entry 1 is other's own entries
         entries = [RationalFunction.zero(self._ctx)] * (rows * cols)
         block = [other._entries[k * q : (k + 1) * q] for k in range(p)]
         for i in range(self._rows):
@@ -220,7 +228,7 @@ class RatMatrix:
                     continue
                 for k, brow in enumerate(block):
                     base = (i * p + k) * cols + j * q
-                    entries[base : base + q] = [a._mul(b, None) for b in brow]
+                    entries[base : base + q] = brow if a.is_one else [a._mul(b, None) for b in brow]
         return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
 
     def direct_sum(self, other: RatMatrix) -> RatMatrix:

@@ -161,7 +161,7 @@ class Polynomial:
     keyed by monomials packed in width _w (see the module docstring)."""
 
     # _hash caches __hash__ (None until first asked), as one matrix product's
-    # gcd memo (ratfunc._Memo) keys on polynomials
+    # denominator base (ratfunc._Memo) keys on polynomials
     __slots__ = ("_ctx", "_terms", "_w", "_hash")
 
     def __init__(self, context: VarContext, terms=()):
@@ -423,6 +423,8 @@ class Polynomial:
         w = self._w
         if divisor._w > w:
             return None  # the divisor's degree exceeds self's
+        if len(self._terms) == 1 < len(divisor._terms):
+            return None  # a multiple of two or more terms has two or more terms
         # every remainder term, and so every product below, has degree at
         # most self's, so width w holds them all
         dterms = divisor._in_width(w)
@@ -508,6 +510,8 @@ class Polynomial:
         """Reinterpret in a context that contains every used variable by name."""
         if new_ctx is self._ctx or new_ctx == self._ctx:
             return self
+        if self.is_constant:
+            return Polynomial._raw(new_ctx, self._terms, self._w)  # key 0 in every context
         n, new_n, w = self._ctx._n, new_ctx._n, self._w
         mask = (1 << w) - 1
         # the degree field moves to the new top, and each used variable's

@@ -4,15 +4,23 @@ Canonical form: gcd(num, den) = 1, den has graded-lex leading coefficient 1,
 and zero is 0/1. Equality is therefore structural. The constructor reduces
 any num/den to this form; operations whose results are already coprime build
 them through RationalFunction._raw after the one monic step, _monic.
+
+The private _add and _mul take a _Memo, one matrix product's denominators
+over a coprime base of factors certified irreducible. Over it a gcd of
+denominators is an exponent minimum and a gcd of a numerator with a
+denominator is found by trial division; a denominator off the base, or no
+memo, takes the general gcd of the poly module.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from operator import add, mul
 
 from .context import VarContext, same_context
 from .errors import ContextError
-from .poly import Polynomial, _quotient, gcd
+from .poly import Polynomial, _coefficients_in, _quotient, gcd
 
 
 def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -25,39 +33,121 @@ def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
 
 
 class _Memo:
-    """The gcds and exact quotients of one matrix product, keyed by operand
-    pair. RatMatrix.__matmul__ makes one per product and drops it when the
-    product returns: within a product the same denominators meet again and
-    again, and a table that outlived it would only grow."""
+    """The denominators of one matrix product over a coprime base.
 
-    __slots__ = ("gcds", "quotients")
+    RatMatrix makes one per product, sets operands to the entry sequences it
+    multiplies, and drops it when the product returns: within a product the
+    same few factors recur, and a table that outlived it would only grow.
+    The first lookup of a denominator with two or more terms builds the
+    base (_coprime_base) from every denominator of the operands; until then,
+    and in a product with no such denominator, nothing is built and gcd's
+    own shortcuts run. A denominator that is a product of base factors is an
+    exponent vector, and the gcd of a numerator with it is the product of
+    b^min(e, v_b(num)), found by trial division: a certified irreducible b
+    that does not divide proves coprimality. Sums and products of such
+    fractions have such denominators again, so a product's certificate stays
+    on the base. A denominator off the base (an uncertified factor, or an
+    empty memo) leaves its operation to the general gcd.
+    """
+
+    __slots__ = ("operands", "base", "vectors", "by_id", "powers")
 
     def __init__(self):
-        self.gcds: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
-        self.quotients: dict[tuple[Polynomial, Polynomial], Polynomial] = {}
+        self.operands = ()
+        self.base: list[Polynomial] | None = None
+        self.vectors: dict[Polynomial, tuple[int, ...] | None] = {}
+        self.by_id: dict[int, tuple[Polynomial, tuple[int, ...] | None]] = {}
+        self.powers: dict[tuple[int, ...], Polynomial] = {}
+
+    def vector(self, d: Polynomial) -> tuple[int, ...] | None:
+        """d's exponents over the base, or None when d is not a product of
+        base factors. Only a d with two or more terms builds the base; until
+        one does, every d gets None."""
+        if self.base is None:
+            if len(d._terms) < 2:
+                return None
+            self.base = _coprime_base(self.operands)
+        if d.is_one:
+            return (0,) * len(self.base)
+        # by identity first: a table entry holds d, so its id stays d's
+        if (seen := self.by_id.get(id(d))) is not None:
+            return seen[1]
+        if (v := self.vectors.get(d, d)) is d:
+            # no base factor divides d more often than its degree
+            rest, v = self.divide(d, [d.total_degree()] * len(self.base))
+            v = self.vectors[d] = v if rest.is_one else None
+        self.by_id[id(d)] = d, v
+        return v
+
+    def power(self, v: tuple[int, ...]) -> Polynomial:
+        """The product of the base factors to the exponents v."""
+        p = self.powers.get(v)
+        if p is None:
+            factors = [b**e for b, e in zip(self.base, v) if e]
+            p = reduce(mul, factors) if factors else Polynomial.one(self.base[0]._ctx)
+            self.powers[v] = p
+            self.vectors[p] = v
+        return p
+
+    def divide(self, num: Polynomial, v) -> tuple[Polynomial, tuple[int, ...]]:
+        """(num / g, the exponents of g) for g = gcd(num, power(v)), the base
+        factors being irreducible and pairwise coprime."""
+        exponents = []
+        for b, e in zip(self.base, v):
+            k = 0
+            while k < e and (q := num.try_exact_div(b)) is not None:
+                num, k = q, k + 1
+            exponents.append(k)
+        return num, tuple(exponents)
 
 
-def _gcd(a: Polynomial, b: Polynomial, memo: _Memo | None) -> Polynomial:
-    """gcd(a, b), looked up in memo when there is one; a constant or
-    single-term operand goes to gcd's own shortcut, not to the memo."""
-    if memo is None or len(a._terms) < 2 or len(b._terms) < 2:
-        return gcd(a, b)
-    key = (a, b)
-    g = memo.gcds.get(key)
-    if g is None:
-        g = memo.gcds[key] = gcd(a, b)
-    return g
+def _coprime_base(operands) -> list[Polynomial]:
+    """Pairwise coprime irreducible factors of the denominators among the
+    entries of operands: the variables of their monomial contents, and the
+    factors that _irreducible certifies among a naive factor refinement of
+    the rest (Bach, Driscoll and Shallit, J. Algorithms 15, 1993). Those
+    are monic and free of monomial factors, so coprime to the variables."""
+    variables: dict[int, Polynomial] = {}
+    base: dict[Polynomial, bool] = {}  # each factor: certified irreducible?
+    for d in {e._den for entries in operands for e in entries if not e._den.is_one}:
+        m, rest = d._strip_monomial_content()
+        for i in m.var_indices():
+            variables[i] = Polynomial.variable(d._ctx, d._ctx.name_of(i))
+        todo = [] if rest.is_constant else [rest]
+        while todo:
+            q = todo.pop()
+            for b, certified in base.items():
+                # an irreducible b shares a factor with q only by dividing it
+                if certified:
+                    g = b if q.try_exact_div(b) is not None else None
+                else:
+                    g = gcd(q, b)
+                if g is not None and not g.is_one:
+                    # replace b by g, q/g and b/g: the total degree falls,
+                    # so the refinement ends
+                    del base[b]
+                    todo += [p for p in (g, q.exact_div(g), b.exact_div(g)) if not p.is_constant]
+                    break
+            else:
+                base[q] = _irreducible(q)
+    return [b for b, certified in base.items() if certified] + list(variables.values())
 
 
-def _div(a: Polynomial, b: Polynomial, memo: _Memo | None) -> Polynomial:
-    """The exact quotient a/b, looked up in memo like _gcd."""
-    if memo is None or len(b._terms) < 2:
-        return a.exact_div(b)
-    key = (a, b)
-    q = memo.quotients.get(key)
-    if q is None:
-        q = memo.quotients[key] = a.exact_div(b)
-    return q
+def _sub(v, w) -> tuple[int, ...]:
+    """The exponent vector v - w."""
+    return tuple(a - b for a, b in zip(v, w))
+
+
+def _irreducible(b: Polynomial) -> bool:
+    """True when b has degree 1 in some variable x and content 1 in x, which
+    proves b irreducible: in any split, one factor has degree 0 in x and so
+    divides that content. False proves nothing."""
+    for x in b.var_indices():
+        if b.degree_in(x) == 1:
+            coeffs = _coefficients_in(b, x)
+            if gcd(coeffs[1], coeffs.get(0, Polynomial.zero(b._ctx))).is_one:
+                return True
+    return False
 
 
 class RationalFunction:
@@ -151,7 +241,8 @@ class RationalFunction:
         return self._add(other, None)
 
     def _add(self, other: RationalFunction, memo: _Memo | None) -> RationalFunction:
-        """self + other for a RationalFunction of the same context; memo as in _gcd."""
+        """self + other for a RationalFunction of the same context, over
+        memo's base when both denominators factor over it (see _Memo)."""
         n1, d1, n2, d2 = self._num, self._den, other._num, other._den
         if not n1._terms:
             return other
@@ -161,26 +252,39 @@ class RationalFunction:
         # keeps every gcd call small even when numerators are large. Equal
         # denominators are their own gcd with cofactors 1, and a denominator
         # 1 leaves the other one coprime to the sum's numerator
-        if d1 is d2 or d1 == d2:
+        equal = d1 is d2 or d1 == d2
+        if equal:
             if d1.is_one:
                 return RationalFunction._raw(n1 + n2, d1)
-            num, den, g0 = n1 + n2, d1, d1
         elif d2.is_one:
             return RationalFunction._raw(n1 + n2 * d1, d1)
         elif d1.is_one:
             return RationalFunction._raw(n1 * d2 + n2, d2)
+        if memo is not None and (e1 := memo.vector(d1)) is not None and (e2 := memo.vector(d2)) is not None:
+            # g0 is the exponent minimum, and h = gcd(num, g0) comes from trial division
+            e0 = tuple(map(min, e1, e2))
+            if equal:
+                num = n1 + n2
+            else:
+                num = n1 * memo.power(_sub(e2, e0)) + n2 * memo.power(_sub(e1, e0))
+            if not num._terms:
+                return RationalFunction.zero(self.context)
+            num, h = memo.divide(num, e0)
+            return RationalFunction._raw(num, memo.power(_sub(map(max, e1, e2), h)))
+        if equal:
+            num, den, g0 = n1 + n2, d1, d1
         else:
-            g0 = _gcd(d1, d2, memo)
-            d1r = _div(d1, g0, memo)
-            d2r = _div(d2, g0, memo)
+            g0 = gcd(d1, d2)
+            d1r = d1.exact_div(g0)
+            d2r = d2.exact_div(g0)
             num = n1 * d2r + n2 * d1r
             den = d1 * d2r
         if not num._terms:
             return RationalFunction.zero(self.context)
-        h = _gcd(num, g0, memo)
+        h = gcd(num, g0)
         if not h.is_one:
-            num = _div(num, h, memo)
-            den = _div(den, h, memo)
+            num = num.exact_div(h)
+            den = den.exact_div(h)
         return RationalFunction._raw(*_monic(num, den))
 
     __radd__ = __add__
@@ -207,24 +311,31 @@ class RationalFunction:
         return self._mul(other, None)
 
     def _mul(self, other: RationalFunction, memo: _Memo | None) -> RationalFunction:
-        """self * other for a RationalFunction of the same context; memo as in _gcd."""
+        """self * other for a RationalFunction of the same context, over
+        memo's base as in _add."""
         n1, d1, n2, d2 = self._num, self._den, other._num, other._den
         if not n1._terms or not n2._terms:
             return RationalFunction.zero(self.context)
-        if d1.is_one:
-            if d2.is_one:
-                return RationalFunction._raw(n1 * n2, d1)
+        if d1.is_one and d2.is_one:
+            return RationalFunction._raw(n1 * n2, d1)
+        if d1.is_one or len(d1._terms) < len(d2._terms):
+            # d1 the denominator of more terms, the one that builds memo's base
             n1, d1, n2, d2 = n2, d2, n1, d1
+        if memo is not None and (e1 := memo.vector(d1)) is not None and (e2 := memo.vector(d2)) is not None:
+            # each cross gcd by trial division over the base
+            n1, g1 = memo.divide(n1, e2)
+            n2, g2 = memo.divide(n2, e1)
+            return RationalFunction._raw(n1 * n2, memo.power(_sub(map(add, e1, e2), map(add, g1, g2))))
         if d2.is_one:
             # n1/d1 times the polynomial n2: only n2 and d1 can share a factor
-            g = _gcd(n2, d1, memo)
-            return RationalFunction._raw(*_monic(n1 * _div(n2, g, memo), _div(d1, g, memo)))
+            g = gcd(n2, d1)
+            return RationalFunction._raw(*_monic(n1 * n2.exact_div(g), d1.exact_div(g)))
         # cross-reduce before multiplying; both inputs are canonical, so the
         # result is already reduced and only needs a monic denominator
-        g1 = _gcd(n1, d2, memo)
-        g2 = _gcd(n2, d1, memo)
-        num = _div(n1, g1, memo) * _div(n2, g2, memo)
-        den = _div(d1, g2, memo) * _div(d2, g1, memo)
+        g1 = gcd(n1, d2)
+        g2 = gcd(n2, d1)
+        num = n1.exact_div(g1) * n2.exact_div(g2)
+        den = d1.exact_div(g2) * d2.exact_div(g1)
         return RationalFunction._raw(*_monic(num, den))
 
     __rmul__ = __mul__
