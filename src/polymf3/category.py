@@ -17,7 +17,7 @@ one of f*g, and acts on morphisms the same way, making it a bifunctor.
 from __future__ import annotations
 
 from .errors import DimensionError, MorphismError
-from .matrix import PermutationMatrix, RatMatrix, first_difference, perfect_shuffle
+from .matrix import MAX_SIZE, PermutationMatrix, RatMatrix, first_difference, perfect_shuffle
 from .mf2 import Factorization
 from .mf3 import MF3
 
@@ -143,8 +143,10 @@ def tensor3(X: MF3, Y: MF3) -> MF3:
 
     The variable contexts are merged (ordered union, X's variables first)
     and the result is a certified factorization of X.target * Y.target of
-    size X.size * Y.size.
+    size X.size * Y.size, at most MAX_SIZE.
     """
+    if (n := X.size * Y.size) > MAX_SIZE:
+        raise ValueError(f"tensor3 would be {n}x{n}; at most {MAX_SIZE}x{MAX_SIZE} is supported")
     ctx = X.context.merge(Y.context)
     target = X.target.in_context(ctx) * Y.target.in_context(ctx)
     return MF3(*_kron_pairs(X.components, Y.components, ctx), target)

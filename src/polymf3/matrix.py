@@ -14,14 +14,22 @@ it factors the denominators over a certified coprime base, which turns
 their gcds into trial divisions, and it is dropped when the product
 returns. Every result is canonical, so the entries are the ones a textbook
 triple loop of * and + would give.
+
+The steps with no arithmetic are single passes over the entry tuple:
+first_difference compares the contexts once, then canonical term dicts, and
+in_context moves every entry with one variable remap (poly._mover).
 """
 
 from __future__ import annotations
 
 from .context import VarContext
 from .errors import ContextError, DimensionError
-from .poly import Polynomial, _dot
-from .ratfunc import RationalFunction, _Memo
+from .poly import Polynomial, _dot, _mover
+from .ratfunc import RationalFunction, _Memo, _monic
+
+# the largest side of a matrix that tensor3 builds or an artifact stores;
+# factor2 and factor3 stop at 128 (mf2.MAX_SPLITS)
+MAX_SIZE = 256
 
 
 class RatMatrix:
@@ -218,9 +226,10 @@ class RatMatrix:
         self._check_ctx(other)
         p, q = other._rows, other._cols
         rows, cols = self._rows * p, self._cols * q
-        # the block of a zero entry of self stays as filled here, and the
-        # block of an entry 1 is other's own entries
-        entries = [RationalFunction.zero(self._ctx)] * (rows * cols)
+        # the block of a zero entry of self stays as filled here, the block
+        # of an entry 1 is other's own entries, and every zero is one object
+        zero = RationalFunction.zero(self._ctx)
+        entries = [zero] * (rows * cols)
         block = [other._entries[k * q : (k + 1) * q] for k in range(p)]
         for i in range(self._rows):
             for j, a in enumerate(self.row(i)):
@@ -228,7 +237,9 @@ class RatMatrix:
                     continue
                 for k, brow in enumerate(block):
                     base = (i * p + k) * cols + j * q
-                    entries[base : base + q] = brow if a.is_one else [a._mul(b, None) for b in brow]
+                    entries[base : base + q] = brow if a.is_one else [
+                        a._mul(b, None) if b._num._terms else zero for b in brow
+                    ]
         return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
 
     def direct_sum(self, other: RatMatrix) -> RatMatrix:
@@ -247,14 +258,18 @@ class RatMatrix:
         return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
 
     def in_context(self, new_ctx: VarContext) -> RatMatrix:
-        if new_ctx == self._ctx:
+        """Every entry reinterpreted in new_ctx, as RationalFunction.in_context
+        does, with one mover for the whole matrix."""
+        if new_ctx is self._ctx or new_ctx == self._ctx:
             return self
-        return RatMatrix(
-            new_ctx,
-            self._rows,
-            self._cols,
-            [e.in_context(new_ctx) for e in self._entries],
+        move, zero = _mover(self._ctx, new_ctx), RationalFunction.zero(new_ctx)
+        # renaming keeps each entry reduced; the new variable order may change
+        # its denominator's leading term, so _monic makes it monic again
+        entries = tuple(
+            RationalFunction._raw(*_monic(move(e._num), move(e._den))) if e._num._terms else zero
+            for e in self._entries
         )
+        return RatMatrix._raw(new_ctx, self._rows, self._cols, entries)
 
     def __eq__(self, other):
         if not isinstance(other, RatMatrix):
@@ -284,12 +299,16 @@ def _split(e: RationalFunction) -> tuple[RationalFunction, Polynomial | None] | 
 
 
 def first_difference(a: RatMatrix, b: RatMatrix) -> tuple[int, int] | None:
-    """Row-major position of the first differing entry, or None if equal."""
+    """Row-major position of the first differing entry, or None if equal;
+    (0, 0) for matrices of different contexts, whose entries all differ."""
     if a.shape != b.shape:
         raise DimensionError(f"cannot compare {a.shape} with {b.shape}")
+    if a._ctx is not b._ctx and a._ctx != b._ctx:
+        return 0, 0
+    # canonical entries of one context are equal iff their term dicts are
     for k, (x, y) in enumerate(zip(a._entries, b._entries)):
-        if x != y:
-            return divmod(k, a.cols)
+        if x is not y and (x._num._terms != y._num._terms or x._den._terms != y._den._terms):
+            return divmod(k, a._cols)
     return None
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 from .context import same_context
 from .errors import CertificateError, ContextError, DimensionError
-from .matrix import RatMatrix, first_difference
+from .matrix import RatMatrix
 from .poly import Monomial, Polynomial
+from .ratfunc import RationalFunction
 
 # standard_method builds a size 2^(k-1) factorization from k summands; at
 # k = 9 (size 256) that already takes seconds, and each summand more ~3-4x
@@ -26,33 +27,41 @@ MAX_SPLITS = 8
 
 
 def check_product_is_scalar(label: str, product: RatMatrix, f: Polynomial):
-    """Raise CertificateError at the first entry where product != f*I."""
-    expected = RatMatrix.scalar(product.context, product.rows, f)
-    spot = first_difference(product, expected)
-    if spot is not None:
-        i, j = spot
-        raise CertificateError(label, i, j, product[i, j], expected[i, j])
+    """Raise CertificateError at the first entry where product != f*I: in
+    canonical form an off-diagonal entry is 0 and a diagonal one f over 1."""
+    n, terms = product.rows, f._terms
+    if product.cols != n:
+        raise DimensionError(f"cannot compare {product.shape} with {(n, n)}")
+    for k, e in enumerate(product._entries):
+        # position k is on the diagonal iff n + 1 divides it
+        if (e._num._terms != terms or not e._den.is_one) if k % (n + 1) == 0 else e._num._terms:
+            i, j = divmod(k, n)
+            expected = RationalFunction.from_value(product.context, f if i == j else 0)
+            raise CertificateError(label, i, j, e, expected)
 
 
 def _fraction_entries(m: RatMatrix) -> int:
     """How many entries of m have a denominator other than 1."""
-    return sum(1 for i in range(m.rows) for e in m.row(i) if not e.denominator.is_one)
+    return sum(not e._den.is_one for e in m._entries)
 
 
 def _certificate_product(components) -> RatMatrix:
     """The full product C1*C2*...*Cn, associated in the cheap order.
 
-    While more than one factor is left, multiply the adjacent pair with the
-    most non-polynomial entries, leftmost on a tie: after promote that
-    is the L, U pair, whose product clears its denominators. Exact products
-    are canonical, so the result does not depend on the order.
+    While more than two factors are left, multiply the adjacent pair with
+    the most non-polynomial entries, leftmost on a tie: after promote that
+    is the L, U pair, whose product clears its denominators. Of three
+    factors the middle one is in both pairs, so only the outer two are
+    counted. Exact products are canonical, so the result does not depend
+    on the order.
     """
     factors = list(components)
-    while len(factors) > 1:
-        counts = [_fraction_entries(m) for m in factors]
+    while len(factors) > 2:
+        inner = 1 if len(factors) == 3 else None
+        counts = [0 if i == inner else _fraction_entries(m) for i, m in enumerate(factors)]
         k = max(range(len(factors) - 1), key=lambda i: counts[i] + counts[i + 1])
         factors[k : k + 2] = [factors[k] @ factors[k + 1]]
-    return factors[0]
+    return factors[0] if len(factors) == 1 else factors[0] @ factors[1]
 
 
 class Factorization:

@@ -510,23 +510,7 @@ class Polynomial:
         """Reinterpret in a context that contains every used variable by name."""
         if new_ctx is self._ctx or new_ctx == self._ctx:
             return self
-        if self.is_constant:
-            return Polynomial._raw(new_ctx, self._terms, self._w)  # key 0 in every context
-        n, new_n, w = self._ctx._n, new_ctx._n, self._w
-        mask = (1 << w) - 1
-        # the degree field moves to the new top, and each used variable's
-        # field to its new index; the degree, and so the width, stays
-        moves = [
-            ((n - 1 - i) * w, (new_n - 1 - new_ctx.index_of(self._ctx.name_of(i))) * w)
-            for i in self.var_indices()
-        ]
-        terms = {}
-        for k, c in self._terms.items():
-            key = k >> n * w << new_n * w
-            for src, dst in moves:
-                key |= (k >> src & mask) << dst
-            terms[key] = c
-        return Polynomial._raw(new_ctx, terms, w)
+        return _mover(self._ctx, new_ctx)(self)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -561,6 +545,45 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
+
+
+def _mover(old: VarContext, new: VarContext):
+    """The function that reinterprets polynomials of context old in new, by
+    name. Its field shifts are worked out once per packing width, so a
+    matrix moves all its entries with one mover. A polynomial that uses a
+    variable new lacks raises ContextError; one it does not use may be
+    missing from new.
+    """
+    n, new_n, tables = old._n, new._n, {}
+
+    def move(p: Polynomial) -> Polynomial:
+        t, w = p._terms, p._w
+        if not t or len(t) == 1 and 0 in t:
+            return Polynomial._raw(new, t, w)  # a constant: key 0 in every context
+        if w not in tables:
+            # (source shift, mask, destination shift): the degree field to the
+            # new top and each variable's field to its new index, so the
+            # degree, and the width, stay; lost masks the variables new lacks
+            shifts, lost, mask = [(n * w, -1, new_n * w)], 0, (1 << w) - 1
+            for i, name in enumerate(old._names):
+                if name in new:
+                    shifts.append(((n - 1 - i) * w, mask, (new_n - 1 - new._index[name]) * w))
+                else:
+                    lost |= mask << (n - 1 - i) * w
+            tables[w] = shifts, lost
+        shifts, lost = tables[w]
+        if lost and reduce(or_, t) & lost:
+            for i in p.var_indices():
+                new.index_of(old._names[i])  # raises for the first one new lacks
+        terms = {}
+        for k, c in t.items():
+            key = 0
+            for src, keep, dst in shifts:
+                key |= (k >> src & keep) << dst
+            terms[key] = c
+        return Polynomial._raw(new, terms, w)
+
+    return move
 
 
 def _dot(context: VarContext, pairs) -> Polynomial:

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 from .category import Morphism3
 from .context import VarContext
 from .errors import CertificateError, ContextError, DimensionError, MorphismError, ParseError
-from .matrix import RatMatrix
+from .matrix import MAX_SIZE, RatMatrix
 from .mf2 import MF2, Factorization
 from .mf3 import MF3, Provenance
 from .parsing import parse_polynomial, parse_rational_function
@@ -34,7 +34,16 @@ def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
         raise ParseError(f"malformed matrix object: missing {exc}") from None
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("malformed matrix object: entry grid does not match shape")
-    values = [parse_rational_function(text, ctx) for row in entries for text in row]
+    if rows > MAX_SIZE or rows and cols > MAX_SIZE:
+        raise ParseError(f"matrix is {rows}x{cols}; at most {MAX_SIZE}x{MAX_SIZE} is supported")
+    # entries repeat within a matrix ("0" most of all): parse each text once
+    parsed, values = {}, []
+    for row in entries:
+        for text in row:
+            value = parsed.get(text) if type(text) is str else None
+            if value is None:
+                value = parsed[text] = parse_rational_function(text, ctx)
+            values.append(value)
     return RatMatrix(ctx, rows, cols, values)
 
 
