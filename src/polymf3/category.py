@@ -138,6 +138,12 @@ class Morphism3(Morphism):
         return self._components[2]
 
 
+def check_tensor_size(n: int):
+    """Refuse a tensor3 product of size n above MAX_SIZE."""
+    if n > MAX_SIZE:
+        raise ValueError(f"tensor3 would be {n}x{n}; at most {MAX_SIZE}x{MAX_SIZE} is supported")
+
+
 def tensor3(X: MF3, Y: MF3) -> MF3:
     """Multiplicative tensor product: componentwise Kronecker product.
 
@@ -145,8 +151,7 @@ def tensor3(X: MF3, Y: MF3) -> MF3:
     and the result is a certified factorization of X.target * Y.target of
     size X.size * Y.size, at most MAX_SIZE.
     """
-    if (n := X.size * Y.size) > MAX_SIZE:
-        raise ValueError(f"tensor3 would be {n}x{n}; at most {MAX_SIZE}x{MAX_SIZE} is supported")
+    check_tensor_size(X.size * Y.size)
     ctx = X.context.merge(Y.context)
     target = X.target.in_context(ctx) * Y.target.in_context(ctx)
     return MF3(*_kron_pairs(X.components, Y.components, ctx), target)

@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .category import tensor3
+from .category import check_tensor_size, tensor3
 from .context import VarContext
 from .errors import ParseError, PolymfError, SingularPivotError
 from .laws import run_laws
@@ -29,6 +29,7 @@ from .parsing import infer_context, parse_polynomial, parse_summands
 from .serialize import (
     artifact_from_obj,
     artifact_to_obj,
+    claimed_size,
     format_factorization,
     to_json,
     verify_obj,
@@ -143,8 +144,16 @@ def _load_obj(path):
 
 
 def cmd_tensor3(args) -> int:
-    x = artifact_from_obj(_load_obj(args.file1))
-    y = artifact_from_obj(_load_obj(args.file2))
+    # refuse a product above MAX_SIZE by the stored shapes before any parsing;
+    # a file2 that cannot be read is still reported after file1 is parsed
+    first = _load_obj(args.file1)
+    try:
+        second = _load_obj(args.file2)
+    except PolymfError:
+        second = None
+    check_tensor_size(claimed_size(first) * claimed_size(second))
+    x = artifact_from_obj(first)
+    y = artifact_from_obj(_load_obj(args.file2) if second is None else second)
     for path, artifact in ((args.file1, x), (args.file2, y)):
         if not isinstance(artifact, MF3):
             raise PolymfError(f"{path} does not hold a 3-matrix factorization")

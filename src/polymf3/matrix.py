@@ -1,23 +1,26 @@
 """Dense matrices over the fraction field, plus permutation matrices.
 
-Everything is exact and immutable. Sizes stay small (factorization
-matrices top out around 16x16 at desk scale), so storage is a flat
-row-major tuple.
+Everything is exact and immutable. Storage is a flat row-major tuple:
+factor2 and factor3 reach 128x128, and no matrix is larger than MAX_SIZE.
 
 A product builds each entry (i, j) from its nonzero terms A[i,k]*B[k,j] in
-one kernel. The terms with two polynomial factors are summed into one term
-dict (poly._dot); the others go through the fraction field's private
-_mul/_add, which skip coercion. Within one product the denominators are
-products of a few factors, so the kernel, and a matrix times a scalar,
-hands those private operators a ratfunc._Memo over both operands' entries:
-it factors the denominators over a certified coprime base, which turns
-their gcds into trial divisions, and it is dropped when the product
-returns. Every result is canonical, so the entries are the ones a textbook
+one kernel, which classifies each operand entry once, inline: the entry,
+and its numerator when its denominator is 1. The terms with two polynomial
+factors are summed into one term dict (poly._dot, the one sparse product
+loop, which Polynomial.__mul__ calls too); the others go through the
+fraction field's private _mul/_add, which skip coercion. Within one
+product the denominators are products of a few factors, so the kernel, and
+a matrix times a scalar, hands those private operators a ratfunc._Memo
+over both operands' entries: it factors the denominators over a certified
+coprime base, which turns their gcds into trial divisions, and it is
+dropped when the product returns. Every result is canonical, so the entries are the ones a textbook
 triple loop of * and + would give.
 
 The steps with no arithmetic are single passes over the entry tuple:
 first_difference compares the contexts once, then canonical term dicts, and
-in_context moves every entry with one variable remap (poly._mover).
+in_context moves every entry with one variable remap (poly._mover). One
+block assembly, _blocks, lays out a grid of blocks of any sizes for
+direct_sum, mf2.add_factorizations and mf3's block LU step.
 """
 
 from __future__ import annotations
@@ -145,21 +148,24 @@ class RatMatrix:
             raise DimensionError(
                 f"cannot multiply {self.shape} by {other.shape}"
             )
-        ctx, n, m = self._ctx, self._cols, other._cols
+        ctx, m = self._ctx, other._cols
         zero, one = RationalFunction.zero(ctx), Polynomial.one(ctx)
         memo = _Memo()
         memo.operands = (self._entries, other._entries)
-        left = [_split(e) for e in self._entries]
-        right = [_split(e) for e in other._entries]
+        # operand entries as (entry, its numerator when its denominator is 1,
+        # else None): all of other's, with None for 0, and self's nonzero ones
+        right = [(e, e._num if e._den.is_one else None) if e._num._terms else None for e in other._entries]
         out = []
         for i in range(self._rows):
-            row = [(k, e) for k, e in enumerate(left[i * n : (i + 1) * n]) if e]
+            row = [
+                (k, a, a._num if a._den.is_one else None) for k, a in enumerate(self.row(i)) if a._num._terms
+            ]
             for j in range(m):
                 # entry (i, j): the products of two polynomials summed in one
                 # term dict, the others through the fraction field; the
                 # polynomial sum comes last, as it adds to a fraction with no gcd
                 polys, acc = [], zero
-                for k, (a, pa) in row:
+                for k, a, pa in row:
                     if (e := right[k * m + j]) is None:
                         continue
                     b, pb = e
@@ -245,17 +251,10 @@ class RatMatrix:
     def direct_sum(self, other: RatMatrix) -> RatMatrix:
         """Block-diagonal assembly [[self, 0], [0, other]]."""
         self._check_ctx(other)
-        rows = self._rows + other._rows
-        cols = self._cols + other._cols
-        zero = RationalFunction.zero(self._ctx)
-        entries = []
-        for i in range(self._rows):
-            entries.extend(self.row(i))
-            entries.extend([zero] * other._cols)
-        for i in range(other._rows):
-            entries.extend([zero] * self._cols)
-            entries.extend(other.row(i))
-        return RatMatrix._raw(self._ctx, rows, cols, tuple(entries))
+        return _blocks((
+            (self, RatMatrix.zeros(self._ctx, self._rows, other._cols)),
+            (RatMatrix.zeros(self._ctx, other._rows, self._cols), other),
+        ))
 
     def in_context(self, new_ctx: VarContext) -> RatMatrix:
         """Every entry reinterpreted in new_ctx, as RationalFunction.in_context
@@ -290,12 +289,11 @@ class RatMatrix:
         return f"RatMatrix({self._rows}x{self._cols}: [{body}])"
 
 
-def _split(e: RationalFunction) -> tuple[RationalFunction, Polynomial | None] | None:
-    """A product operand: None for 0, else (e, its numerator when its
-    denominator is 1, else None)."""
-    if not e._num._terms:
-        return None
-    return e, (e._num if e._den.is_one else None)
+def _blocks(grid) -> RatMatrix:
+    """The matrix of a grid of blocks of one context, given as rows of blocks."""
+    entries = [e for blocks in grid for i in range(blocks[0]._rows) for b in blocks for e in b.row(i)]
+    cols = sum(b._cols for b in grid[0])
+    return RatMatrix._raw(grid[0][0]._ctx, len(entries) // cols, cols, tuple(entries))
 
 
 def first_difference(a: RatMatrix, b: RatMatrix) -> tuple[int, int] | None:

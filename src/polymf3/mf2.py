@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .context import same_context
 from .errors import CertificateError, ContextError, DimensionError
-from .matrix import RatMatrix
+from .matrix import RatMatrix, _blocks
 from .poly import Monomial, Polynomial
 from .ratfunc import RationalFunction
 
@@ -233,8 +233,8 @@ def add_factorizations(x1: MF2, x2: MF2) -> MF2:
     q1i = x1.Q.kron(i2)
     ip2 = i1.kron(x2.P)
     iq2 = i1.kron(x2.Q)
-    P = _blocks((p1i, -ip2), (iq2, q1i))
-    Q = _blocks((q1i, ip2), (-iq2, p1i))
+    P = _blocks(((p1i, -ip2), (iq2, q1i)))
+    Q = _blocks(((q1i, ip2), (-iq2, p1i)))
     return MF2(P, Q, x1.target + x2.target)
 
 
@@ -268,12 +268,3 @@ def standard_method(f: Polynomial, splits: list[TermSplit] | None = None) -> MF2
         result = add_factorizations(result, s.base_factorization())
     return result
 
-
-def _blocks(top: tuple, bottom: tuple) -> RatMatrix:
-    """The block matrix [[top[0], top[1]], [bottom[0], bottom[1]]] of n x n blocks."""
-    entries = []
-    for left, right in (top, bottom):
-        for i in range(left.rows):
-            entries.extend(left.row(i) + right.row(i))
-    n = 2 * top[0].rows
-    return RatMatrix(top[0].context, n, n, entries)

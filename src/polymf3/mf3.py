@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionError, SingularPivotError, StructurallySingularError
-from .matrix import PermutationMatrix, RatMatrix
-from .mf2 import MF2, Factorization, _blocks
+from .matrix import PermutationMatrix, RatMatrix, _blocks
+from .mf2 import MF2, Factorization
 from .poly import Polynomial
 from .ratfunc import RationalFunction
 
@@ -191,8 +191,8 @@ def _block_lu(M: RatMatrix, method: str) -> tuple[RatMatrix, RatMatrix] | None:
         L_D = L_D * (t / s)
     else:
         U_D = U_D * (t / s)
-    L = _blocks((top.L, zeros), ((D @ top.L) * (c / s), L_D))
-    U = _blocks((top.U, (top.U @ D) * (b / s)), (zeros, U_D))
+    L = _blocks(((top.L, zeros), ((D @ top.L) * (c / s), L_D)))
+    U = _blocks(((top.U, (top.U @ D) * (b / s)), (zeros, U_D)))
     return L, U
 
 

@@ -343,22 +343,7 @@ class Polynomial:
             return NotImplemented
         if not self._terms or not other._terms:
             return Polynomial.zero(self._ctx)
-        # leading terms never cancel, so the degrees add and fix the width
-        n = self._ctx._n
-        w = _width((max(self._terms) >> n * self._w) + (max(other._terms) >> n * other._w))
-        right = other._in_width(w).items()
-        product: dict[int, int | Fraction] = {}
-        get = product.get
-        for m1, c1 in self._in_width(w).items():
-            for m2, c2 in right:
-                mono = m1 + m2
-                acc = get(mono)
-                total = c1 * c2 if acc is None else acc + c1 * c2
-                if total:
-                    product[mono] = _coeff(total)
-                elif acc is not None:
-                    del product[mono]
-        return Polynomial._raw(self._ctx, product, w)
+        return _dot(self._ctx, ((self, other),))
 
     __rmul__ = __mul__
 
@@ -591,8 +576,14 @@ def _dot(context: VarContext, pairs) -> Polynomial:
     summed into one term dict. It is packed at the width of the largest
     product degree, and the one _raw at the end narrows it when leading
     terms cancel."""
-    n = context._n
-    w = _width(max((max(p._terms) >> n * p._w) + (max(q._terms) >> n * q._w) for p, q in pairs))
+    # a product's degree is its factors' sum, as leading terms never cancel;
+    # a plain loop, since a generator here was most of what delegating cost
+    # Polynomial.__mul__, a call with one pair
+    n, top = context._n, 0
+    for p, q in pairs:
+        if (d := (max(p._terms) >> n * p._w) + (max(q._terms) >> n * q._w)) > top:
+            top = d
+    w = _width(top)
     acc: dict[int, int | Fraction] = {}
     get = acc.get
     for p, q in pairs:

@@ -32,6 +32,9 @@ def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (TypeError, KeyError) as exc:
         raise ParseError(f"malformed matrix object: missing {exc}") from None
+    for name, value in (("rows", rows), ("cols", cols)):
+        if type(value) is not int:
+            raise ParseError(f"malformed matrix object: {name} {json.dumps(value)} is not an integer")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("malformed matrix object: entry grid does not match shape")
     if rows > MAX_SIZE or rows and cols > MAX_SIZE:
@@ -137,6 +140,14 @@ def artifact_kind(obj) -> str:
         if cls.names[0] in obj:
             return kind
     raise ParseError("malformed artifact: unrecognized structure")
+
+
+def claimed_size(obj) -> int:
+    """The size an MF3 object claims by its A1 rows, read without parsing,
+    when they are a positive int; else 0."""
+    a1 = obj["A1"] if isinstance(obj, dict) and "A1" in obj and artifact_kind(obj) == "mf3" else None
+    rows = a1.get("rows") if isinstance(a1, dict) else None
+    return rows if type(rows) is int and rows > 0 else 0
 
 
 def artifact_from_obj(obj):

@@ -309,6 +309,40 @@ def test_cli_tensor3_above_the_bound_exits_2_with_one_line(tmp_path, capsys):
     assert captured.err == "error: tensor3 would be 272x272; at most 256x256 is supported\n"
 
 
+def claiming(tmp_path, name, n) -> str:
+    """An MF3 object whose matrices claim n x n: grids of "0", which would
+    fail the certificate."""
+    grid = {"rows": n, "cols": n, "entries": [["0"] * n for _ in range(n)]}
+    obj = {"f": "x", "size": n, "A1": grid, "A2": grid, "A3": grid, "vars": ["x"]}
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_cli_tensor3_refuses_claimed_shapes_before_parsing_or_certifying(tmp_path, capsys, monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("parsed or certified before refusing")
+
+    for name in ("parse_rational_function", "parse_polynomial"):
+        monkeypatch.setattr(serialize, name, forbidden)
+    monkeypatch.setattr(MF3, "__init__", forbidden)
+    left, right = claiming(tmp_path, "a.json", 64), claiming(tmp_path, "b.json", 64)
+    assert main(["tensor3", left, right]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tensor3 would be 4096x4096; at most 256x256 is supported\n"
+
+
+def test_cli_tensor3_reports_a_malformed_first_file_before_an_unreadable_second(tmp_path, capsys):
+    # the second file is read before the first is parsed, but its error still comes second
+    left = tmp_path / "a.json"
+    left.write_text(json.dumps({"A1": {}, "vars": ["x"]}))
+    assert main(["tensor3", str(left), str(tmp_path / "missing.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed mf3 artifact: 'f'\n"
+
+
 @pytest.mark.parametrize("rows, cols", [(257, 1), (1, 257), (257, 257)])
 def test_a_stored_matrix_above_the_bound_is_refused_before_parsing(parse_calls, rows, cols):
     grid = [["0"] * cols for _ in range(rows)]

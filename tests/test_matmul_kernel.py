@@ -133,6 +133,18 @@ def test_degree_falls_back_across_the_width_boundary():
     assert got[0, 0].numerator._w == got[0, 1].numerator._w == 8
 
 
+def test_the_widest_product_of_an_entry_sets_its_width():
+    # the first pair's product has degree 0 (8-bit fields) and the second's
+    # degree 301 (16-bit fields): a width taken from the first pair alone
+    # wraps x^300*y around to x^44*y
+    a = RatMatrix.from_rows(CTX, [[1, X**200]])
+    b = RatMatrix.from_rows(CTX, [[1], [X**100 * Y]])
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    assert got == RatMatrix.from_rows(CTX, [[X**300 * Y + 1]])
+    assert got[0, 0].numerator._w == 16
+
+
 def test_entries_that_cancel_to_zero():
     p, q = RationalFunction(X + Y, DENOMINATORS[0]), RationalFunction.from_value(CTX, Z * X)
     a = RatMatrix.from_rows(CTX, [[p, p, q, q], [0, 0, 0, 0]])
@@ -152,6 +164,23 @@ def test_one_operand_meets_different_gcds_in_one_product():
     got = a @ b
     _assert_same(got, _by_constructor(a, b))
     assert got == RatMatrix.from_rows(CTX, [[(Z + 2) * Y**2], [(X + 1) * Y**2]])
+
+
+def test_polynomial_pairs_are_summed_by_one_dot_per_entry(monkeypatch):
+    # pairs of entries with denominator 1 on both sides go to _dot, one call
+    # per output entry; a pair with a fraction goes through the fraction field
+    calls, dot = [], matrix_module._dot
+
+    def spy(ctx, pairs):
+        calls.append([(str(p), str(q)) for p, q in pairs])
+        return dot(ctx, pairs)
+
+    monkeypatch.setattr(matrix_module, "_dot", spy)
+    a = RatMatrix.from_rows(CTX, [[X, 0, RationalFunction(Y, X + 1)], [1, Y, Z]])
+    b = RatMatrix.from_rows(CTX, [[Y], [Z], [X + 1]])
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    assert calls == [[("x", "y")], [("1", "y"), ("y", "z"), ("z", "x + 1")]]
 
 
 def test_each_product_makes_and_drops_its_own_memo(monkeypatch):

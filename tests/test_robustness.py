@@ -91,6 +91,27 @@ def test_a_mistyped_claim_is_a_malformed_artifact(tmp_path, capsys, key, value, 
         assert err == f"error: malformed artifact: {reason}\n"
 
 
+@pytest.mark.parametrize(
+    "keys, value, reason",
+    [
+        (("rows", "cols"), True, "rows true is not an integer"),
+        (("cols",), True, "cols true is not an integer"),
+        (("rows",), 1.0, "rows 1.0 is not an integer"),
+    ],
+    ids=["rows-and-cols-bool", "cols-bool", "rows-float"],
+)
+def test_a_mistyped_matrix_shape_is_a_malformed_matrix(tmp_path, capsys, keys, value, reason):
+    # a 1x1 factorization, so that a shape true would equal 1
+    path, obj = stored(capsys, tmp_path, ["factor2", "x*y", "--format", "json"])
+    for name in ("P", "Q"):
+        obj[name].update(dict.fromkeys(keys, value))
+    del obj["size"]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: malformed matrix object: {reason}\n"
+
+
 def test_tensor3_fails_a_false_provenance_with_exit_1(tmp_path, capsys):
     path, obj = stored(capsys, tmp_path, SQUARES)
     obj.update(provenance(method="crout"))
