@@ -18,10 +18,24 @@ Hostile input ends in a ParseError at three limits: parentheses and unary
 minus nest at most MAX_NESTING deep, and expanding one product or power takes
 at most MAX_TERM_PRODUCTS term products and reaches at most an estimated
 MAX_COEFFICIENT_BITS per coefficient. Exponents are not bounded themselves.
+
+Stored entries and targets are read by read_rational_function and
+read_polynomial, which take the text that RationalFunction.__str__ and
+Polynomial.__str__ write with one regex match (_ENTRY) and string splits,
+and hand any other text to parse_rational_function and parse_polynomial.
+The writer's grammar, single spaces included:
+
+    entry := poly | side '/' side
+    side  := '(' poly ')' | INT | NAME ['^' INT]
+    poly  := ['-'] term ((' + ' | ' - ') term)*
+    term  := coef | [coef '*'] mono
+    coef  := INT ['/' INT]
+    mono  := NAME ['^' INT] ('*' NAME ['^' INT])*
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -29,7 +43,7 @@ from string import ascii_letters, digits
 
 from .context import VarContext
 from .errors import ParseError, UnknownVariableError
-from .poly import Polynomial
+from .poly import Polynomial, _quotient
 from .ratfunc import RationalFunction
 
 
@@ -49,10 +63,15 @@ MAX_TERM_PRODUCTS = 10_000
 MAX_COEFFICIENT_BITS = 100_000
 
 
+def _coefficient_bits(c) -> int:
+    """The bits of a coefficient's numerator and denominator, less two."""
+    return c.numerator.bit_length() + c.denominator.bit_length() - 2
+
+
 def _growth_bits(p: Polynomial) -> int:
     """Estimated bits factor p adds to a product's coefficients: its largest
     coefficient's numerator and denominator bits, plus its term count's bits."""
-    bits = [c.numerator.bit_length() + c.denominator.bit_length() - 2 for c in p.coefficients()]
+    bits = [_coefficient_bits(c) for c in p.coefficients()]
     return max(bits, default=0) + max(len(p) - 1, 0).bit_length()
 
 
@@ -286,3 +305,90 @@ def parse_rational_function(text: str, ctx: VarContext) -> RationalFunction:
     value = parser.quotient()
     parser.end()
     return value
+
+
+# -- stored entries ------------------------------------------------------------
+
+_INT = "[0-9]+"  # ASCII digits only, as in _tokenize
+_POWER = r"[a-zA-Z][a-zA-Z0-9_]*(?:\^[0-9]+)?"
+_MONO = rf"{_POWER}(?:\*{_POWER})*"
+_TERM = rf"(?:{_INT}(?:/{_INT})?(?:\*{_MONO})?|{_MONO})"
+_POLY = rf"-?{_TERM}(?: [+-] {_TERM})*"
+_SIDE = rf"\(({_POLY})\)|({_INT}|{_POWER})"
+# groups: the poly of a whole entry, or each side's parenthesized or bare text
+_ENTRY = re.compile(rf"({_POLY})|(?:{_SIDE})/(?:{_SIDE})")
+
+
+def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
+    """The polynomial of a poly that _ENTRY matched; None when it names a
+    variable outside ctx or holds a literal that the general grammar would
+    refuse (a zero denominator, more digits than int() takes) or bound
+    (MAX_COEFFICIENT_BITS)."""
+    index = ctx._index
+    terms, top = [], 0
+    try:
+        for term in text.replace(" - ", " + -").split(" + "):
+            sign = 1
+            if term[0] == "-":
+                sign, term = -1, term[1:]
+            factors = term.split("*")
+            coeff = sign
+            if term[0] in digits:
+                num, _, den = factors.pop(0).partition("/")
+                if den:
+                    den = int(den)
+                    if not den:
+                        return None
+                    coeff = _quotient(sign * int(num), den)
+                else:
+                    coeff = sign * int(num)
+                if factors and _coefficient_bits(coeff) > MAX_COEFFICIENT_BITS:
+                    return None
+            powers, degree = [], 0
+            for factor in factors:
+                name, _, exponent = factor.partition("^")
+                i = index.get(name)
+                if i is None:
+                    return None
+                e = int(exponent) if exponent else 1
+                powers.append((i, e))
+                degree += e
+            terms.append((powers, coeff))
+            top = max(top, degree)
+    except ValueError:  # a literal longer than int()'s digit limit
+        return None
+    return Polynomial._from_powers(ctx, terms, top)
+
+
+def read_polynomial(text: str, ctx: VarContext) -> Polynomial:
+    """A stored polynomial (an artifact's f), read as parse_polynomial reads
+    it: text in the writer's grammar through _ENTRY's whole-poly group, any
+    other text through parse_polynomial."""
+    match = _ENTRY.fullmatch(text) if isinstance(text, str) else None
+    if match is not None and match[1] is not None:
+        poly = _read_polynomial(text, ctx)
+        if poly is not None:
+            return poly
+    return parse_polynomial(text, ctx)
+
+
+def read_rational_function(text: str, ctx: VarContext) -> RationalFunction:
+    """A stored entry, read as parse_rational_function reads it: text in
+    the writer's grammar (see the module docstring) in one regex match,
+    reduced by RationalFunction as the general grammar reduces it; any other
+    text, or text the reader cannot vouch for (see _read_polynomial, and a
+    zero denominator), through parse_rational_function, for its values,
+    errors and positions."""
+    match = _ENTRY.fullmatch(text) if isinstance(text, str) else None
+    if match is not None:
+        whole, num, bare_num, den, bare_den = match.groups()
+        if whole is not None:
+            poly = _read_polynomial(whole, ctx)
+            if poly is not None:
+                return RationalFunction._raw(poly, Polynomial.one(ctx))
+        else:
+            num = _read_polynomial(num or bare_num, ctx)
+            den = _read_polynomial(den or bare_den, ctx)
+            if num is not None and den is not None and not den.is_zero:
+                return RationalFunction(num, den)
+    return parse_rational_function(text, ctx)

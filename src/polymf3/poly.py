@@ -62,10 +62,11 @@ def _width(degree: int) -> int:
 
 
 def _pack(powers, n: int, w: int) -> int:
-    """The key of (variable index, exponent) pairs, in fields of w bits."""
+    """The key of (variable index, exponent) pairs, in fields of w bits; an
+    index given twice gets the sum of its exponents."""
     key = degree = 0
     for i, e in powers:
-        key |= e << (n - 1 - i) * w
+        key += e << (n - 1 - i) * w
         degree += e
     return degree << n * w | key
 
@@ -205,6 +206,27 @@ class Polynomial:
         if w > 8 and (fit := _width(out.total_degree())) < w:
             out._terms, out._w = out._in_width(fit), fit
         return out
+
+    @classmethod
+    def _from_powers(cls, context: VarContext, terms, degree: int) -> Polynomial:
+        """From (powers, coefficient) pairs, powers a list of (variable index,
+        exponent) pairs with indices in the context and exponents >= 0, an
+        index possibly repeated, and coefficients canonical (see _coeff);
+        degree is the largest sum of a term's exponents. Like terms merge
+        and zero coefficients drop, as in the public constructor, without
+        building a Monomial per term."""
+        n, w = context._n, _width(degree)
+        acc: dict[int, int | Fraction] = {}
+        for powers, c in terms:
+            key = _pack(powers, n, w)
+            old = acc.get(key)
+            if old is not None:
+                c = _coeff(old + c)
+            if c:
+                acc[key] = c
+            elif old is not None:
+                del acc[key]
+        return cls._raw(context, acc, w)
 
     @classmethod
     def zero(cls, context: VarContext) -> Polynomial:
@@ -513,8 +535,14 @@ class Polynomial:
         if not self._terms:
             return "0"
         n, w = self._ctx._n, self._w
-        fields = [(name, (n - 1 - i) * w) for i, name in enumerate(self._ctx.names)]
         mask = (1 << w) - 1
+        # only the fields some term uses: one OR of the keys shows which
+        used = reduce(or_, self._terms)
+        fields = [
+            (name, shift)
+            for i, name in enumerate(self._ctx._names)
+            if used >> (shift := (n - 1 - i) * w) & mask
+        ]
         pieces = []
         for key in sorted(self._terms, reverse=True):
             coeff = self._terms[key]

@@ -388,12 +388,15 @@ class RationalFunction:
     @staticmethod
     def _atomic(p: Polynomial) -> bool:
         """True when str(p) needs no parentheses inside a num/den quotient."""
-        if len(p) != 1:
+        if len(p._terms) != 1:
             return False
-        mono, coeff = p.leading_term()
-        if mono.is_one():
+        (key, coeff), = p._terms.items()
+        if not key:
             return coeff >= 0 and coeff.denominator == 1
-        return coeff == 1 and len(mono.powers) == 1
+        # one variable: the top used field holds the whole degree
+        top = p._ctx._n * p._w
+        fields = key & (1 << top) - 1
+        return coeff == 1 and fields >> (fields.bit_length() - 1) // p._w * p._w == key >> top
 
     def __str__(self):
         if self._den.is_one:

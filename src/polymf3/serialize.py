@@ -2,7 +2,10 @@
 
 JSON entries are canonical rational-function strings ("num/den", the
 denominator omitted when it is 1), and every artifact records its variable
-order so a write/read cycle reproduces the bytes exactly.
+order so a write/read cycle reproduces the bytes exactly. Loading reads
+the target and each distinct entry text of a matrix once, through
+parsing's readers of the writer's grammar, which hand hand-edited text to
+the general grammar, so values and errors are the general grammar's.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ from .errors import CertificateError, ContextError, DimensionError, MorphismErro
 from .matrix import MAX_SIZE, RatMatrix
 from .mf2 import MF2, Factorization
 from .mf3 import MF3, Provenance
-from .parsing import parse_polynomial, parse_rational_function
+
+# serialize reads every stored target and entry through these two names:
+# the readers of the writer's grammar, which hand any other text to the
+# general grammar
+from .parsing import read_polynomial as parse_polynomial
+from .parsing import read_rational_function as parse_rational_function
 
 
 def matrix_to_obj(m: RatMatrix) -> dict:
@@ -193,15 +201,20 @@ class VerifyReport:
 
 
 def verify_obj(obj) -> VerifyReport:
-    """Re-check an artifact's certificate and claims, reporting instead of raising."""
+    """Re-check an artifact's certificate and claims, reporting instead of raising.
+
+    The size reported is the certified matrices' (a morphism's target's)
+    when the artifact loads, its size claim having been checked against
+    them; else the claim, or 0 without one."""
     kind = artifact_kind(obj)
     target = obj.get("f", "?")
     nested = obj.get("target") if kind == "morphism3" else obj
     size = nested.get("size", 0) if isinstance(nested, dict) else 0
     try:
-        artifact_from_obj(obj)
+        artifact = artifact_from_obj(obj)
     except (CertificateError, MorphismError, DimensionError, ContextError, ValueError) as exc:
         return VerifyReport(kind, target, size, False, f"({exc})")
+    size = (artifact.target if kind == "morphism3" else artifact).size
     return VerifyReport(kind, target, size, True, f"({_describe(kind)[1]} exactly)")
 
 

@@ -1,6 +1,7 @@
 """CLI verbs, exit codes, and output determinism."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -171,3 +172,32 @@ def test_demo_runs(capsys):
     assert code == 0
     assert "multiplicative tensor product" in out
     assert "PASS" in out
+
+
+def test_verify_reports_the_certified_size_without_a_size_field(capsys, tmp_path):
+    code, out, _ = run(capsys, "factor2", "x*y", "--format", "json")
+    obj = json.loads(out)
+    del obj["size"]
+    path = tmp_path / "no-size.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out.splitlines() == [
+        "kind: 2-matrix factorization (P, Q)",
+        "f: x*y",
+        "size: 1",
+        "verification: PASS (P*Q = f*I exactly)",
+    ]
+
+
+def test_verify_reports_a_morphism_targets_size_without_size_fields(capsys, tmp_path):
+    golden = pathlib.Path(__file__).parent / "golden"
+    obj = json.loads((golden / "morphism.json").read_text())
+    for key in ("source", "target"):
+        del obj[key]["size"]
+    path = tmp_path / "no-size.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out == (golden / "verify-morphism.txt").read_text()
+    assert "size: 4" in out.splitlines()

@@ -8,7 +8,9 @@ JSON files of earlier ones as inputs (tensor3, verify). One case, the
 morphism artifact, is written by the library rather than by a command, and
 each script in demos/ is run in a subprocess and its output compared too.
 Every stored JSON artifact is also loaded and serialized again, and must
-give back its own bytes.
+give back its own bytes, and its target and each of its entries must read
+to the same value through the stored-text readers as through the general
+grammar.
 
 Regenerate the files only for an intended change of output:
 
@@ -23,11 +25,21 @@ import pathlib
 import subprocess
 import sys
 from collections.abc import Callable
+from unittest import mock
 
 import pytest
 
-from polymf3 import Morphism3, RatMatrix, tensor3_morphism
+from polymf3 import (
+    Morphism3,
+    RatMatrix,
+    VarContext,
+    parse_polynomial,
+    parse_rational_function,
+    tensor3_morphism,
+)
+from polymf3 import parsing
 from polymf3.cli import main
+from polymf3.parsing import read_polynomial, read_rational_function
 from polymf3.serialize import (
     artifact_from_obj,
     artifact_to_obj,
@@ -115,6 +127,35 @@ def test_output_matches_golden(name):
 def test_json_artifact_reemits_byte_for_byte(name):
     text = (GOLDEN / name).read_text()
     assert to_json(artifact_to_obj(artifact_from_obj(json.loads(text)))) == text
+
+
+def _stored(obj, ctx=None):
+    """(key, text, context) of every target ('f') and matrix entry
+    ('entries') of an artifact object, nested artifacts included, each in
+    the context of the nearest enclosing 'vars'."""
+    if isinstance(obj, dict):
+        ctx = VarContext(obj["vars"]) if "vars" in obj else ctx
+        if "f" in obj:
+            yield "f", obj["f"], ctx
+        for row in obj.get("entries", ()):
+            yield from (("entries", text, ctx) for text in row)
+        for value in obj.values():
+            yield from _stored(value, ctx)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_every_stored_text_reads_as_the_general_grammar_reads_it(name):
+    stored = list(_stored(json.loads((GOLDEN / name).read_text())))
+    for key, read, general in [
+        ("f", read_polynomial, parse_polynomial),
+        ("entries", read_rational_function, parse_rational_function),
+    ]:
+        texts = [(text, ctx) for k, text, ctx in stored if k == key]
+        assert texts
+        expected = [general(text, ctx) for text, ctx in texts]
+        # the writer's grammar: no text reaches the general grammar
+        with mock.patch.object(parsing, general.__name__, side_effect=AssertionError):
+            assert [read(text, ctx) for text, ctx in texts] == expected
 
 
 def _demo_output(path: pathlib.Path) -> bytes:

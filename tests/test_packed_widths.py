@@ -7,9 +7,12 @@ direction, must equal a fresh construction from Monomials, which packs at
 the width the result's degree asks for: same ==, same hash, same terms().
 """
 
+from fractions import Fraction
+
 import pytest
 
-from polymf3 import Monomial, Polynomial, VarContext, gcd
+from polymf3 import Monomial, Polynomial, RationalFunction, VarContext, gcd, parse_polynomial
+from polymf3.parsing import read_rational_function
 from test_poly import naive_mul
 
 CTX = VarContext("x y z")
@@ -113,3 +116,77 @@ def test_huge_exponent_arithmetic():
     assert_canonical(gcd(p, x**3 * y), x**3 * y)
     assert p.degree_in(0) == HUGE and p.var_indices() == (0, 1)
     assert (p * x).leading_term() == (Monomial({0: HUGE + 1, 1: 1}), 1)
+
+
+# -- printing ------------------------------------------------------------------
+
+WIDE = VarContext([f"v{i}" for i in range(14)])
+
+
+def reference_str(p: Polynomial) -> str:
+    """Polynomial.__str__'s format, from terms_grlex and every variable's name."""
+    if p.is_zero:
+        return "0"
+    pieces = []
+    for mono, c in p.terms_grlex():
+        mag = abs(c)
+        names = "*".join(
+            WIDE.name_of(i) if e == 1 else f"{WIDE.name_of(i)}^{e}" for i, e in mono.powers
+        )
+        body = str(mag) if mono.is_one() else names if mag == 1 else f"{mag}*{names}"
+        if not pieces:
+            pieces.append(f"-{body}" if c < 0 else body)
+        else:
+            pieces.append(f"- {body}" if c < 0 else f"+ {body}")
+    return " ".join(pieces)
+
+
+def reference_ratfunc_str(r) -> str:
+    """RationalFunction.__str__'s format: a side stays bare when it is a
+    nonnegative integer or one variable to a power with coefficient 1."""
+    def side(p):
+        (mono, c), *more = p.terms_grlex()
+        atomic = not more and (
+            c >= 0 and c == int(c) if mono.is_one() else c == 1 and len(mono.powers) == 1
+        )
+        return reference_str(p) if atomic else f"({reference_str(p)})"
+
+    if r.denominator.is_one:
+        return reference_str(r.numerator)
+    return f"{side(r.numerator)}/{side(r.denominator)}"
+
+
+def wide(*terms):
+    """Polynomial over WIDE from (coefficient, {variable index: exponent}) pairs."""
+    return Polynomial(WIDE, [(Monomial(powers), c) for c, powers in terms])
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        [(1, {3: 300, 11: 1}), (-1, {11: 256}), (Fraction(3, 2), {3: 1, 11: 2}), (7, {})],
+        [(-1, {13: 256})],
+        [(Fraction(-3, 2), {0: 1, 13: 300}), (1, {5: 2})],
+        [(1, {7: 1})],
+        [(-7, {})],
+        [],
+    ],
+    ids=["mixed", "minus-one", "three-halves", "one-variable", "constant", "zero"],
+)
+def test_printing_reads_only_the_used_fields(terms):
+    p = wide(*terms)
+    assert str(p) == reference_str(p)
+    assert parse_polynomial(str(p), WIDE) == p
+
+
+def test_quotient_sides_print_bare_only_when_atomic():
+    a3, a11 = WIDE.gens()[3], WIDE.gens()[11]
+    sides = [
+        a3**300, a11, a3 * a11, -a11, wide((Fraction(3, 2), {3: 1})),
+        wide((5, {})), wide((1, {3: 257}), (-1, {11: 1})),
+    ]
+    for num in sides:
+        for den in sides:
+            r = RationalFunction(num, den)
+            assert str(r) == reference_ratfunc_str(r)
+            assert read_rational_function(str(r), WIDE) == r

@@ -1,6 +1,7 @@
 """Grammar, error positions, and print/parse round trips."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from polymf3 import (
     parse_summands,
 )
 from polymf3.laws import random_polynomial
+from polymf3.parsing import read_rational_function
 
 
 @pytest.fixture
@@ -156,3 +158,46 @@ def test_rational_function_is_parsed_in_one_pass(ctx, monkeypatch):
     assert parse_rational_function("1/2*x + 1/3", ctx) == half_x + Fraction(1, 3)
     assert parse_rational_function("(1/2*x)/y", ctx) == RationalFunction(half_x, y)
     assert tokenized == ["1/2*x + 1/3", "(1/2*x)/y"]
+
+
+def test_the_reader_leaves_what_the_general_grammar_refuses_to_it(ctx, monkeypatch):
+    x, y, _ = ctx.gens()
+    # in the writer's grammar: read without the general grammar
+    with monkeypatch.context() as patch:
+        patch.setattr(polymf3.parsing, "parse_rational_function", None)
+        three_halves = read_rational_function("3/2*x^2*y - 1/2", ctx)
+        assert three_halves == (x * x * y).scale(Fraction(3, 2)) - Fraction(1, 2)
+        assert read_rational_function("(x^2 + y^2)/x", ctx) == RationalFunction(x**2 + y**2, x)
+        assert read_rational_function("1*x*x^0*x - 2/4*x^2", ctx) == x**2 / 2
+    for text, message, pos in [
+        ("x + w", "unknown variable 'w'", 4),
+        ("(x + y)/(x - x)", "zero denominator", 8),
+        ("x/0", "zero denominator", 2),
+        ("3/0*x", "zero denominator in rational literal", 0),
+        ("1/2/3", "more than one top-level '/'", 3),
+        ("x  + y", None, None),
+    ]:
+        if message is None:
+            assert read_rational_function(text, ctx) == x + y
+            continue
+        with pytest.raises(ParseError, match=f"^{message}") as err:
+            read_rational_function(text, ctx)
+        assert err.value.pos == pos and err.value.text == text
+
+
+def test_the_reader_leaves_a_bounded_coefficient_to_the_general_grammar(ctx):
+    # the bound is reached only by literals longer than int()'s default
+    # digit limit (Python 3.11 and later), so the limit is lifted here
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = "9" * 31_000 + "*x"
+        with pytest.raises(ParseError, match="coefficients may exceed") as err:
+            read_rational_function(text, ctx)
+        assert err.value.pos == 31_000
+        below = "9" * 30_000 + "*x"
+        assert read_rational_function(below, ctx) == parse_rational_function(below, ctx)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
