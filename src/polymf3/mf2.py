@@ -46,22 +46,16 @@ def _fraction_entries(m: RatMatrix) -> int:
 
 
 def _certificate_product(components) -> RatMatrix:
-    """The full product C1*C2*...*Cn, associated in the cheap order.
-
-    While more than two factors are left, multiply the adjacent pair with
-    the most non-polynomial entries, leftmost on a tie: after promote that
-    is the L, U pair, whose product clears its denominators. Of three
-    factors the middle one is in both pairs, so only the outer two are
-    counted. Exact products are canonical, so the result does not depend
-    on the order.
-    """
-    factors = list(components)
-    while len(factors) > 2:
-        inner = 1 if len(factors) == 3 else None
-        counts = [0 if i == inner else _fraction_entries(m) for i, m in enumerate(factors)]
-        k = max(range(len(factors) - 1), key=lambda i: counts[i] + counts[i + 1])
-        factors[k : k + 2] = [factors[k] @ factors[k + 1]]
-    return factors[0] if len(factors) == 1 else factors[0] @ factors[1]
+    """The product of two or three factors. Of three, the pair whose outer factor
+    has more non-polynomial entries goes first, the left one on a tie: after
+    promote, the L, U pair, whose product clears its denominators. Exact
+    products are canonical, so the order does not change the result."""
+    if len(components) == 2:
+        return components[0] @ components[1]
+    a, b, c = components
+    if _fraction_entries(a) >= _fraction_entries(c):
+        return (a @ b) @ c
+    return a @ (b @ c)
 
 
 class Factorization:

@@ -197,15 +197,13 @@ def _block_lu(M: RatMatrix, method: str) -> tuple[RatMatrix, RatMatrix] | None:
 
 
 def _eliminate(A: RatMatrix, pivot: bool) -> tuple[RatMatrix, RatMatrix, PermutationMatrix | None]:
-    """Doolittle elimination with exact zero tests, swapping rows only when pivot=True."""
+    """Doolittle elimination in place, with exact zero tests, swapping rows only when pivot=True."""
     ctx = A.context
     n = A.rows
     zero = RationalFunction.zero(ctx)
     one = RationalFunction.one(ctx)
     work = A.row_lists()
-    lower = [[one if i == j else zero for j in range(n)] for i in range(n)]
     order = list(range(n))
-    swapped = False
     for k in range(n):
         if work[k][k].is_zero:
             if not pivot:
@@ -217,21 +215,17 @@ def _eliminate(A: RatMatrix, pivot: bool) -> tuple[RatMatrix, RatMatrix, Permuta
                 raise StructurallySingularError(k)
             work[k], work[found] = work[found], work[k]
             order[k], order[found] = order[found], order[k]
-            for j in range(k):
-                lower[k][j], lower[found][j] = lower[found][j], lower[k][j]
-            swapped = True
         pivot_entry = work[k][k]
         for i in range(k + 1, n):
             if work[i][k].is_zero:
-                continue
-            factor = work[i][k] / pivot_entry
-            lower[i][k] = factor
-            work[i][k] = zero
+                continue  # a zero multiplier, already in place
+            factor = work[i][k] = work[i][k] / pivot_entry  # L's entry: a row swap carries it
             for j in range(k + 1, n):
                 work[i][j] = work[i][j] - factor * work[k][j]
-    L = RatMatrix(ctx, n, n, [e for row in lower for e in row])
+    L = RatMatrix(ctx, n, n, [work[i][j] if j < i else one if j == i else zero
+                              for i in range(n) for j in range(n)])
     U = RatMatrix(ctx, n, n, [work[i][j] if j >= i else zero for i in range(n) for j in range(n)])
-    return L, U, PermutationMatrix(order) if swapped else None
+    return L, U, PermutationMatrix(order) if order != sorted(order) else None
 
 
 def promote(

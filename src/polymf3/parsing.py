@@ -38,8 +38,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, prod
-from string import ascii_letters, digits
+from string import digits
 
 from .context import VarContext
 from .errors import ParseError, UnknownVariableError
@@ -53,10 +54,6 @@ class _Token:
     value: str
     pos: int
 
-
-_OPS = set("+-*^/()")
-# ASCII only, as the grammar says: str.isdigit also takes '٣' and '²'
-_IDENT_CHARS = set(ascii_letters + digits + "_")
 
 MAX_NESTING = 100
 MAX_TERM_PRODUCTS = 10_000
@@ -75,35 +72,29 @@ def _growth_bits(p: Polynomial) -> int:
     return max(bits, default=0) + max(len(p) - 1, 0).bit_length()
 
 
+# the regexes below are compiled on first use, so a process that reads no
+# stored artifact (factor2, say, or laws) never compiles the large _ENTRY
+_compiled = cache(re.compile)
+
+# ASCII only, as the grammar says: \d and str.isdigit also take '٣' and '²'
+_TOKEN = (
+    r"\s*(?:(?P<INT>[0-9]+)|(?P<IDENT>[a-zA-Z][a-zA-Z0-9_]*)|(?P<OP>[-+*^/()])"
+    r"|(?P<END>\Z)|(?P<BAD>.))"
+)
+
+
 def _tokenize(text: str) -> list[_Token]:
+    if not isinstance(text, str):
+        raise ParseError(f"expected a string, got {type(text).__name__}")
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in digits:
-            j = i
-            while j < n and text[j] in digits:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], i))
-            i = j
-            continue
-        if ch in ascii_letters:
-            j = i
-            while j < n and text[j] in _IDENT_CHARS:
-                j += 1
-            tokens.append(_Token("IDENT", text[i:j], i))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(_Token("OP", ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", text, i)
-    tokens.append(_Token("END", "", n))
-    return tokens
+    # every position starts a match, so the matches follow one another
+    for match in _compiled(_TOKEN).finditer(text):
+        kind = match.lastgroup
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {match[kind]!r}", text, match.start(kind))
+        tokens.append(_Token(kind, match[kind], match.start(kind)))
+        if kind == "END":
+            return tokens
 
 
 class _Parser:
@@ -172,16 +163,17 @@ class _Parser:
         return RationalFunction(num, den)
 
     def expr(self) -> Polynomial:
-        total = self.term()
-        while self.at_op("+", "-"):
-            op = self.advance().value
-            rhs = self.term()
-            total = total + rhs if op == "+" else total - rhs
-        return total
+        products = [prod(factors[1:], start=factors[0]) for factors in self.summands()]
+        return sum(products[1:], start=products[0])
 
-    def term(self) -> Polynomial:
-        factors = self.term_factors()
-        return prod(factors[1:], start=factors[0])
+    def summands(self) -> list[list[Polynomial]]:
+        """Each term's factors, unexpanded, with the term's sign on its first factor."""
+        summands = [self.term_factors()]
+        while self.at_op("+", "-"):
+            negate = self.advance().value == "-"
+            factors = self.term_factors()
+            summands.append([-factors[0], *factors[1:]] if negate else factors)
+        return summands
 
     def term_factors(self) -> list[Polynomial]:
         """The factors of one product, unexpanded."""
@@ -281,20 +273,7 @@ def parse_summands(text: str, ctx: VarContext) -> list[list[Polynomial]]:
     folded into the first factor.
     """
     parser = _Parser(text, ctx)
-    summands = []
-    sign = 1
-    if parser.at_op("-"):
-        parser.advance()
-        sign = -1
-    while True:
-        factors = parser.term_factors()
-        if sign < 0:
-            factors[0] = -factors[0]
-        summands.append(factors)
-        if parser.at_op("+", "-"):
-            sign = 1 if parser.advance().value == "+" else -1
-            continue
-        break
+    summands = parser.summands()
     parser.end()
     return summands
 
@@ -309,14 +288,14 @@ def parse_rational_function(text: str, ctx: VarContext) -> RationalFunction:
 
 # -- stored entries ------------------------------------------------------------
 
-_INT = "[0-9]+"  # ASCII digits only, as in _tokenize
+_INT = "[0-9]+"  # ASCII digits only, as in _TOKEN
 _POWER = r"[a-zA-Z][a-zA-Z0-9_]*(?:\^[0-9]+)?"
 _MONO = rf"{_POWER}(?:\*{_POWER})*"
 _TERM = rf"(?:{_INT}(?:/{_INT})?(?:\*{_MONO})?|{_MONO})"
 _POLY = rf"-?{_TERM}(?: [+-] {_TERM})*"
 _SIDE = rf"\(({_POLY})\)|({_INT}|{_POWER})"
 # groups: the poly of a whole entry, or each side's parenthesized or bare text
-_ENTRY = re.compile(rf"({_POLY})|(?:{_SIDE})/(?:{_SIDE})")
+_ENTRY = rf"({_POLY})|(?:{_SIDE})/(?:{_SIDE})"
 
 
 def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
@@ -364,7 +343,7 @@ def read_polynomial(text: str, ctx: VarContext) -> Polynomial:
     """A stored polynomial (an artifact's f), read as parse_polynomial reads
     it: text in the writer's grammar through _ENTRY's whole-poly group, any
     other text through parse_polynomial."""
-    match = _ENTRY.fullmatch(text) if isinstance(text, str) else None
+    match = _compiled(_ENTRY).fullmatch(text) if isinstance(text, str) else None
     if match is not None and match[1] is not None:
         poly = _read_polynomial(text, ctx)
         if poly is not None:
@@ -379,7 +358,7 @@ def read_rational_function(text: str, ctx: VarContext) -> RationalFunction:
     text, or text the reader cannot vouch for (see _read_polynomial, and a
     zero denominator), through parse_rational_function, for its values,
     errors and positions."""
-    match = _ENTRY.fullmatch(text) if isinstance(text, str) else None
+    match = _compiled(_ENTRY).fullmatch(text) if isinstance(text, str) else None
     if match is not None:
         whole, num, bare_num, den, bare_den = match.groups()
         if whole is not None:

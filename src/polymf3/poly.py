@@ -168,27 +168,20 @@ class Polynomial:
     def __init__(self, context: VarContext, terms=()):
         if isinstance(terms, dict):
             terms = terms.items()
-        cleaned = {}
-        nvars = context._n
+        checked, top = [], 0
         for mono, coeff in terms:
             coeff = _coeff(coeff)
             if not coeff:
                 continue
-            if mono.powers and not 0 <= mono.powers[0][0] <= mono.powers[-1][0] < nvars:
+            if mono.powers and not 0 <= mono.powers[0][0] <= mono.powers[-1][0] < context._n:
                 raise ContextError(
                     f"monomial {mono!r} uses a variable index outside the context"
                 )
-            acc = cleaned.get(mono)
-            coeff = coeff if acc is None else _coeff(acc + coeff)
-            if coeff:
-                cleaned[mono] = coeff
-            elif acc is not None:
-                del cleaned[mono]
-        w = _width(max((m.degree for m in cleaned), default=0))
-        self._ctx = context
-        self._terms = {_pack(m.powers, nvars, w): c for m, c in cleaned.items()}
-        self._w = w
-        self._hash = None
+            checked.append((mono.powers, coeff))
+            top = max(top, mono.degree)
+        built = Polynomial._from_powers(context, checked, top)
+        for slot in Polynomial.__slots__:
+            setattr(self, slot, getattr(built, slot))
 
     # -- construction ----------------------------------------------------
 
@@ -213,8 +206,7 @@ class Polynomial:
         exponent) pairs with indices in the context and exponents >= 0, an
         index possibly repeated, and coefficients canonical (see _coeff);
         degree is the largest sum of a term's exponents. Like terms merge
-        and zero coefficients drop, as in the public constructor, without
-        building a Monomial per term."""
+        and zero coefficients drop."""
         n, w = context._n, _width(degree)
         acc: dict[int, int | Fraction] = {}
         for powers, c in terms:
@@ -631,7 +623,7 @@ def _dot(context: VarContext, pairs) -> Polynomial:
 # -- greatest common divisor ----------------------------------------------
 #
 # Shortcuts first, cheapest first: a constant or single-term operand (a
-# monomial gcd), the monomial contents, equal parts, trial division, and a
+# monomial gcd), the monomial contents, trial division (equal parts too), and a
 # proof of coprimality by modular images (_coprime_image). Only what they do
 # not settle reaches _gcd_core, which picks a main variable x, splits each
 # operand into its content in x (the gcd of its coefficients in x,
@@ -648,12 +640,8 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     gcd(p, 0) is the monic normalization of p; gcd(0, 0) is 0.
     """
     same_context(a, b)
-    if a.is_zero and b.is_zero:
-        return a
-    if a.is_zero:
-        return b.monic()
-    if b.is_zero:
-        return a.monic()
+    if a.is_zero or b.is_zero:
+        return (a + b).monic()
     if a.is_constant or b.is_constant:
         return Polynomial.one(a._ctx)
     if len(a._terms) == 1 or len(b._terms) == 1:
@@ -661,11 +649,9 @@ def gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     ma, a1 = a._strip_monomial_content()
     mb, b1 = b._strip_monomial_content()
     common = ma if ma.is_constant else mb if mb.is_constant else _monomial_gcd(ma, mb)
-    if a1 == b1:
-        return (common * a1).monic()
-    # trial division first: full cancellation is the common case in practice
-    # (fraction-field elimination nests denominators) and one division is far
-    # cheaper than a remainder sequence
+    # trial division first, which also settles equal parts: full cancellation
+    # is the common case in practice (fraction-field elimination nests
+    # denominators) and one division is far cheaper than a remainder sequence
     low, high = (a1, b1) if a1.total_degree() <= b1.total_degree() else (b1, a1)
     if high.try_exact_div(low) is not None:
         return (common * low).monic()

@@ -50,13 +50,12 @@ class _Memo:
     empty memo) leaves its operation to the general gcd.
     """
 
-    __slots__ = ("operands", "base", "vectors", "by_id", "powers")
+    __slots__ = ("operands", "base", "vectors", "powers")
 
     def __init__(self):
         self.operands = ()
         self.base: list[Polynomial] | None = None
         self.vectors: dict[Polynomial, tuple[int, ...] | None] = {}
-        self.by_id: dict[int, tuple[Polynomial, tuple[int, ...] | None]] = {}
         self.powers: dict[tuple[int, ...], Polynomial] = {}
 
     def vector(self, d: Polynomial) -> tuple[int, ...] | None:
@@ -69,14 +68,10 @@ class _Memo:
             self.base = _coprime_base(self.operands)
         if d.is_one:
             return (0,) * len(self.base)
-        # by identity first: a table entry holds d, so its id stays d's
-        if (seen := self.by_id.get(id(d))) is not None:
-            return seen[1]
         if (v := self.vectors.get(d, d)) is d:
             # no base factor divides d more often than its degree
             rest, v = self.divide(d, [d.total_degree()] * len(self.base))
             v = self.vectors[d] = v if rest.is_one else None
-        self.by_id[id(d)] = d, v
         return v
 
     def power(self, v: tuple[int, ...]) -> Polynomial:

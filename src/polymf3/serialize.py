@@ -43,6 +43,10 @@ def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
     for name, value in (("rows", rows), ("cols", cols)):
         if type(value) is not int:
             raise ParseError(f"malformed matrix object: {name} {json.dumps(value)} is not an integer")
+    # a string would pass for a row of its characters; a non-string entry is
+    # the grammar's to refuse, with the error a direct parse of it gives
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ParseError("malformed matrix object: entries is not a list of rows")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ParseError("malformed matrix object: entry grid does not match shape")
     if rows > MAX_SIZE or rows and cols > MAX_SIZE:
@@ -86,6 +90,8 @@ def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
     ctx = _context_from_obj(obj)
     if "size" in obj and type(obj["size"]) is not int:
         raise ParseError(f"malformed artifact: size {json.dumps(obj['size'])} is not an integer")
+    if type(obj["f"]) is not str:
+        raise ParseError(f"malformed artifact: f {json.dumps(obj['f'])} is not a string")
     f = parse_polynomial(obj["f"], ctx)
     args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
     if cls is MF3:

@@ -26,6 +26,9 @@ def test_factor2_sizes(capsys):
     assert code == 0 and json.loads(out)["size"] == 1
     code, out, _ = run(capsys, "factor2", "x*y + x^2*z + y*z^2", "--format", "json")
     assert code == 0 and json.loads(out)["size"] == 4
+    # splits that start with a minus: its summand's left factor is -x
+    code, out, _ = run(capsys, "factor2", "z^2 - x*y", "--splits", "-x*y + z*z", "--format", "json")
+    assert code == 0 and json.loads(out)["P"]["entries"] == [["-x", "-z"], ["z", "y"]]
 
 
 def test_factor3_reproduces_lu_entries(capsys):

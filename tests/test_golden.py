@@ -10,7 +10,9 @@ each script in demos/ is run in a subprocess and its output compared too.
 Every stored JSON artifact is also loaded and serialized again, and must
 give back its own bytes, and its target and each of its entries must read
 to the same value through the stored-text readers as through the general
-grammar.
+grammar. Each must also satisfy its identities under perfbench/oracle.py,
+which evaluates the stored text at rational points without polymf3, and a
+copy with one entry changed must fail both that oracle and `verify`.
 
 Regenerate the files only for an intended change of output:
 
@@ -18,10 +20,12 @@ Regenerate the files only for an intended change of output:
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from collections.abc import Callable
@@ -51,6 +55,9 @@ from polymf3.serialize import (
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 ROOT = pathlib.Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+ORACLE_SPEC = importlib.util.spec_from_file_location("oracle", ROOT / "perfbench" / "oracle.py")
+oracle = importlib.util.module_from_spec(ORACLE_SPEC)
+ORACLE_SPEC.loader.exec_module(oracle)
 
 PAPER = ["x*y + (x^2 + y*z)*z", "--splits", "x*y + (x^2+y*z)*z"]
 SQUARES = ["x^2 + y^2", "--splits", "x*x + y*y"]
@@ -156,6 +163,56 @@ def test_every_stored_text_reads_as_the_general_grammar_reads_it(name):
         # the writer's grammar: no text reaches the general grammar
         with mock.patch.object(parsing, general.__name__, side_effect=AssertionError):
             assert [read(text, ctx) for text, ctx in texts] == expected
+
+
+def _oracle_problems(obj) -> list[str]:
+    """What the oracle finds wrong with an artifact object at two points: a
+    factorization's product against f*I; a morphism's source and target that
+    way, and its three commuting squares."""
+    rng = random.Random(0)
+    if "alpha" not in obj:
+        grids = _grids(obj)
+        return oracle.at_points(
+            rng, obj["vars"], 2, lambda pt: oracle.product_is_scalar("certificate", grids, obj["f"], pt)
+        )
+
+    def squares(pt):
+        a, b, d = (oracle.evaluate_grid(obj[name]["entries"], pt) for name in ("alpha", "beta", "delta"))
+        s1, s2, s3 = (oracle.evaluate_grid(g, pt) for g in _grids(obj["source"]))
+        t1, t2, t3 = (oracle.evaluate_grid(g, pt) for g in _grids(obj["target"]))
+        mm = oracle.matmul
+        return [
+            problem
+            for label, lhs, rhs in (
+                ("alpha*phi1 = phi2*beta", mm(a, s1), mm(t1, b)),
+                ("psi2*delta = beta*psi1", mm(t2, d), mm(b, s2)),
+                ("delta*theta1 = theta2*alpha", mm(d, s3), mm(t3, a)),
+            )
+            for problem in oracle.same_matrix(label, lhs, rhs, pt)
+        ]
+
+    nested = _oracle_problems(obj["source"]) + _oracle_problems(obj["target"])
+    return nested + oracle.at_points(rng, obj["vars"], 2, squares)
+
+
+def _grids(factorization) -> list[list[list[str]]]:
+    """The entry grids of a factorization object, in product order."""
+    names = ("P", "Q") if "P" in factorization else ("A1", "A2", "A3")
+    return [factorization[name]["entries"] for name in names]
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_the_independent_oracle_passes_each_artifact_and_fails_a_tampered_copy(name, tmp_path):
+    obj = json.loads((GOLDEN / name).read_text())
+    assert _oracle_problems(obj) == []
+    # the first matrix of the artifact (P, A1 or alpha), its top-left entry changed
+    first = next(value for value in obj.values() if isinstance(value, dict) and "entries" in value)
+    first["entries"][0][0] = "1" if first["entries"][0][0] == "0" else "0"
+    assert _oracle_problems(obj) != []
+    tampered = tmp_path / name
+    tampered.write_text(json.dumps(obj))
+    code, out = _run(["verify", str(tampered)])
+    assert code == 1 and b"verification: FAIL" in out
 
 
 def _demo_output(path: pathlib.Path) -> bytes:

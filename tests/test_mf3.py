@@ -135,6 +135,22 @@ def test_zero_pivot_policy(ctx, gens):
     assert res.L @ res.U == res.permutation.apply_rows(a)
 
 
+def test_pivot_swaps_compose_and_carry_their_multipliers(ctx, gens):
+    x, y, _ = gens
+    a = RatMatrix.from_rows(ctx, [[0, 0, x], [y, 1, 0], [1, y, 1]])
+    with pytest.raises(SingularPivotError):
+        mf3._eliminate(a, pivot=False)
+    L, U, permutation = mf3._eliminate(a, pivot=True)
+    # row 0 swaps with row 1, then, after the first column is cleared, with
+    # row 2: the rows come in the order 1, 2, 0, and the multiplier 1/y
+    # found for old row 2 moves up with it
+    inverse_y = RationalFunction.one(ctx) / y
+    assert permutation.image == (1, 2, 0)
+    assert L == RatMatrix.from_rows(ctx, [[1, 0, 0], [inverse_y, 1, 0], [0, 0, 1]])
+    assert U == RatMatrix.from_rows(ctx, [[y, 1, 0], [0, y - inverse_y, 1], [0, 0, x]])
+    assert L @ U == permutation.apply_rows(a)
+
+
 def test_structurally_singular(ctx, gens):
     x, _, _ = gens
     singular = RatMatrix.from_rows(ctx, [[x, x], [x, x]])

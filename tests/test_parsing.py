@@ -73,14 +73,32 @@ def test_syntax_error_reports_position(ctx):
         ("\u00b2", "\u00b2", 0),
         ("x\u0663 + 1", "\u0663", 1),
         ("y\u00e9", "\u00e9", 1),
+        ("\tx +\n\u2003\u00e9", "\u00e9", 6),
     ],
-    ids=["arabic-indic-exponent", "superscript-two", "digit-in-identifier", "accented-letter"],
+    ids=[
+        "arabic-indic-exponent", "superscript-two", "digit-in-identifier", "accented-letter",
+        "after-tab-newline-and-em-space",
+    ],
 )
 def test_only_ascii_digits_and_letters_are_tokens(ctx, text, char, pos):
     for context in (ctx, None):
         with pytest.raises(ParseError) as err:
             parse_polynomial(text, context)
         assert str(err.value) == f"unexpected character {char!r} (at position {pos})"
+
+
+def test_every_str_isspace_character_separates_tokens(ctx):
+    x, y, _ = ctx.gens()
+    text = "\tx\u00a0*\ny +\u2003 12"
+    tokens = [(t.kind, t.value, t.pos) for t in polymf3.parsing._tokenize(text)]
+    assert tokens == [
+        ("IDENT", "x", 1), ("OP", "*", 3), ("IDENT", "y", 5), ("OP", "+", 7), ("INT", "12", 10),
+        ("END", "", 12),
+    ]
+    assert parse_polynomial(text, ctx) == x * y + 12
+    with pytest.raises(ParseError) as err:
+        parse_polynomial("x +\u3000\u2028", ctx)
+    assert str(err.value) == "unexpected end of input (at position 5)"
 
 
 def test_unknown_variable(ctx):
@@ -131,6 +149,9 @@ def test_parse_summands_keeps_product_structure(ctx):
     assert parts[1] == [x**2 + y * z, z]
     signed = parse_summands("x*y - x*y", ctx)
     assert signed[1] == [-x, y]
+    # a leading minus is the first factor's own unary minus
+    assert parse_summands("-x*y + z", ctx) == [[-x, y], [z]]
+    assert parse_summands("--x*y - -z", ctx) == [[x, y], [z]]
 
 
 def test_rational_function_is_parsed_in_one_pass(ctx, monkeypatch):

@@ -102,6 +102,7 @@ def test_pow_and_scalar_coercion(gens):
     assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
     assert 2 * x == x + x
     assert x - 1 == x + Polynomial.constant(x.context, -1)
+    assert 3 - x == Polynomial.constant(x.context, 3) - x and str(3 - x) == "-x + 3"
     assert (x + y) ** 0 == 1
 
 
@@ -125,6 +126,7 @@ def test_gcd_with_zero_normalizes(gens):
     x, y, _ = gens
     zero = Polynomial.zero(x.context)
     assert gcd(3 * x * y + 6 * x, zero) == x * y + 2 * x
+    assert gcd(zero, -2 * x * y + 3) == x * y - Fraction(3, 2)
     assert gcd(zero, zero) == zero
 
 
@@ -285,6 +287,17 @@ def test_equal_contexts_built_apart_mix(ctx):
     x2, y2, _ = same.gens()
     assert x == x2 and x + x2 == 2 * x
     assert gcd(x * y2 + x2, x**2) == x
+
+
+def test_constructor_merges_like_terms_and_checks_indices(ctx):
+    _, y, _ = ctx.gens()
+    high = Monomial({0: 300})
+    # x^300 cancels, so the sum packs in the width of degree 1; a zero
+    # coefficient is dropped before its index is checked
+    terms = [(high, 1), (Monomial({1: 1}), 2), (high, Fraction(-2, 2)), (Monomial({5: 1}), 0)]
+    assert Polynomial(ctx, terms) == 2 * y
+    with pytest.raises(ContextError, match="outside the context"):
+        Polynomial(ctx, [(Monomial({5: 1}), 1)])
 
 
 def test_monomial_sums_the_exponents_of_a_repeated_index(ctx):

@@ -115,6 +115,7 @@ def test_division_and_powers(gens):
     assert r**2 == RationalFunction(y**2, x**2)
     assert r**-1 == x / y
     assert (r / r) == 1
+    assert 1 / r == x / y and 2 / r == (2 * x) / y  # RationalFunction.__rtruediv__
 
 
 def test_string_forms(gens):

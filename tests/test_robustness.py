@@ -112,6 +112,36 @@ def test_a_mistyped_matrix_shape_is_a_malformed_matrix(tmp_path, capsys, keys, v
     assert err == f"error: malformed matrix object: {reason}\n"
 
 
+NOT_ROWS = "malformed matrix object: entries is not a list of rows"
+
+
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda obj: obj["A1"].update(entries="1"), NOT_ROWS),
+        (lambda obj: obj["A1"].update(entries=["1"]), NOT_ROWS),
+        # a non-string entry fails as a direct parse of it does
+        (lambda obj: obj["A1"].update(entries=[[1]]), "expected a string, got int"),
+        (lambda obj: obj["A1"].update(entries=[[None]]), "expected a string, got NoneType"),
+        (lambda obj: obj.update(f=5), "malformed artifact: f 5 is not a string"),
+        (
+            lambda obj: obj["A1"].update(entries=[["1", "0"]]),
+            "malformed matrix object: entry grid does not match shape",
+        ),
+    ],
+    ids=["string-grid", "string-row", "int-entry", "null-entry", "int-f", "grid-shape"],
+)
+def test_a_mistyped_entry_grid_or_target_is_malformed(tmp_path, capsys, change, reason):
+    # a 1x1 triple: a string "1" would pass for a 1x1 grid of its characters
+    path, obj = stored(capsys, tmp_path, ["factor3", "x*y", "--format", "json"])
+    change(obj)
+    path.write_text(json.dumps(obj))
+    for argv in (["verify", str(path)], ["tensor3", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {reason}\n"
+
+
 def test_tensor3_fails_a_false_provenance_with_exit_1(tmp_path, capsys):
     path, obj = stored(capsys, tmp_path, SQUARES)
     obj.update(provenance(method="crout"))
