@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .category import check_tensor_size, tensor3
 from .context import VarContext
@@ -81,6 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("demo", help="walk through the worked factor2/factor3/tensor3 pipeline")
     return parser
+
+
+# main's parser, built on the first call rather than at import and shared by
+# the calls after it: each parse_args call still returns a fresh namespace
+_parser = cache(build_parser)
 
 
 def _emit(args, text: str):
@@ -233,8 +239,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
     except (ParseError, ValueError) as exc:

@@ -386,6 +386,13 @@ class Polynomial:
             return RationalFunction(self, den)
         return NotImplemented
 
+    def __rtruediv__(self, other):
+        from .ratfunc import RationalFunction
+
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction.from_value(self._ctx, other) / self
+        return NotImplemented
+
     def scale(self, coeff) -> Polynomial:
         coeff = _coeff(coeff)
         if not coeff:

@@ -76,6 +76,13 @@ def _context_from_obj(obj) -> VarContext:
         raise ParseError(f"malformed artifact: {exc}") from None
 
 
+def _target_from_obj(obj, ctx: VarContext):
+    """The polynomial an artifact's "f" names."""
+    if type(obj["f"]) is not str:
+        raise ParseError(f"malformed artifact: f {json.dumps(obj['f'])} is not a string")
+    return parse_polynomial(obj["f"], ctx)
+
+
 def factorization_to_obj(x: Factorization) -> dict:
     obj = {"f": str(x.target), "size": x.size}
     obj.update((name, matrix_to_obj(m)) for name, m in zip(x.names, x.components))
@@ -90,9 +97,7 @@ def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
     ctx = _context_from_obj(obj)
     if "size" in obj and type(obj["size"]) is not int:
         raise ParseError(f"malformed artifact: size {json.dumps(obj['size'])} is not an integer")
-    if type(obj["f"]) is not str:
-        raise ParseError(f"malformed artifact: f {json.dumps(obj['f'])} is not a string")
-    f = parse_polynomial(obj["f"], ctx)
+    f = _target_from_obj(obj, ctx)
     args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
     if cls is MF3:
         p = obj.get("provenance")
@@ -127,12 +132,17 @@ def morphism_to_obj(m: Morphism3) -> dict:
 
 def morphism_from_obj(obj) -> Morphism3:
     ctx = _context_from_obj(obj)
+    f = _target_from_obj(obj, ctx)
     source = factorization_from_obj(obj["source"], MF3)
     # an endomorphism's target is its source: load and certify it once
     target = obj["target"]
     target = source if target == obj["source"] else factorization_from_obj(target, MF3)
     matrices = (matrix_from_obj(obj[name], ctx) for name in Morphism3.names)
-    return Morphism3(source, target, *matrices)
+    m = Morphism3(source, target, *matrices)
+    # compared once the constructor has checked that every context agrees
+    if f != source.target:
+        raise ValueError(f"morphism claims f = {f}, but its source factors {source.target}")
+    return m
 
 
 def artifact_to_obj(artifact) -> dict:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from polymf3 import ContextError, Monomial, Polynomial, VarContext, gcd
+from polymf3 import ContextError, Monomial, Polynomial, RationalFunction, VarContext, gcd
 from polymf3.laws import random_polynomial, random_single_term
 
 
@@ -306,3 +306,20 @@ def test_monomial_sums_the_exponents_of_a_repeated_index(ctx):
     assert repeated.degree == 3
     x = Polynomial.variable(ctx, "x")
     assert Polynomial(ctx, {repeated: 1}) - x**3 == Polynomial.zero(ctx)
+
+
+def test_a_number_divided_by_a_polynomial_is_a_rational_function(gens):
+    x, y, _ = gens
+    ctx = x.context
+    assert 1 / y == RationalFunction.from_value(ctx, 1) / y
+    assert str(1 / y) == "1/y"
+    three_halves = Polynomial.constant(ctx, Fraction(3, 2))
+    assert Fraction(3, 2) / (x + y) == RationalFunction(three_halves, x + y)
+    assert (2 / y) * y == RationalFunction.from_value(ctx, 2)
+    with pytest.raises(ZeroDivisionError):
+        1 / Polynomial.zero(ctx)
+    with pytest.raises(ZeroDivisionError):
+        y / 0
+    with pytest.raises(TypeError):
+        "1" / y
+    assert y.__rtruediv__(1.5) is NotImplemented

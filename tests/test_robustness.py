@@ -319,3 +319,28 @@ def test_verify_fails_a_hostile_entry_within_10_s(capsys):
     assert time.monotonic() - start < 10
     assert code == 1 and err == ""
     assert out.splitlines()[-1].startswith("verification: FAIL (certificate failed: P*Q[0][0]")
+
+
+def test_verify_checks_a_morphisms_f_against_its_source(tmp_path, capsys):
+    golden = pathlib.Path(__file__).parent / "golden"
+    obj = json.loads((golden / "morphism.json").read_text())
+    path = tmp_path / "m.json"
+    obj["f"] = "x + 1"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines()[1] == "f: x + 1"
+    assert out.splitlines()[-1] == (
+        "verification: FAIL (morphism claims f = x + 1, but its source factors "
+        "x^2*u^2*w + x^2*u*v*w + y^2*u^2*w + y^2*u*v*w)"
+    )
+    # the same polynomial written another way is the same claim
+    obj["f"] = "(x^2 + y^2)*(u^2*w + u*v*w)"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0 and out.splitlines()[-1].startswith("verification: PASS")
+    obj["f"] = 5
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: malformed artifact: f 5 is not a string\n"
