@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from .errors import DimensionError, MorphismError
 from .matrix import MAX_SIZE, PermutationMatrix, RatMatrix, first_difference, perfect_shuffle
-from .mf2 import Factorization
+from .mf2 import Components, Factorization
 from .mf3 import MF3
 
 
@@ -39,12 +39,11 @@ def violated_equation(*args) -> tuple[str, int, int] | None:
     return None
 
 
-class Morphism:
+class Morphism(Components):
     """A morphism between two factorizations of one polynomial, its squares
     checked on construction. Subclasses may name the components (else m0, m1, ...)."""
 
-    __slots__ = ("_source", "_target", "_components")
-    names: tuple[str, ...] = ()
+    __slots__ = ("_source", "_target")
 
     def __init__(self, source: Factorization, target: Factorization, *components: RatMatrix):
         if source.target != target.target:
@@ -80,10 +79,6 @@ class Morphism:
     @property
     def target(self) -> Factorization:
         return self._target
-
-    @property
-    def components(self) -> tuple[RatMatrix, ...]:
-        return self._components
 
     def compose(self, inner: Morphism) -> Morphism:
         """self after inner: componentwise products (m2_i * m1_i)."""
@@ -124,18 +119,6 @@ class Morphism3(Morphism):
         self, source: MF3, target: MF3, alpha: RatMatrix, beta: RatMatrix, delta: RatMatrix
     ):
         super().__init__(source, target, alpha, beta, delta)
-
-    @property
-    def alpha(self) -> RatMatrix:
-        return self._components[0]
-
-    @property
-    def beta(self) -> RatMatrix:
-        return self._components[1]
-
-    @property
-    def delta(self) -> RatMatrix:
-        return self._components[2]
 
 
 def check_tensor_size(n: int):

@@ -25,10 +25,11 @@ from .errors import ParseError, PolymfError, SingularPivotError
 from .laws import run_laws
 from .matrix import RatMatrix
 from .mf2 import MF2, splits_from_factors, standard_method
-from .mf3 import MF3, promote
+from .mf3 import promote
 from .parsing import infer_context, parse_polynomial, parse_summands
 from .serialize import (
     artifact_from_obj,
+    artifact_kind,
     artifact_to_obj,
     claimed_size,
     format_factorization,
@@ -145,25 +146,26 @@ def _load_obj(path):
             return json.load(fh)
     except OSError as exc:
         raise PolymfError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
 def cmd_tensor3(args) -> int:
-    # refuse a product above MAX_SIZE by the stored shapes before any parsing;
-    # a file2 that cannot be read is still reported after file1 is parsed
+    # refuse another kind of artifact, or a product above MAX_SIZE by the stored
+    # shapes, before any parsing; a file2 that cannot be read is reported after file1 is parsed
     first = _load_obj(args.file1)
     try:
         second = _load_obj(args.file2)
-    except PolymfError:
-        second = None
+    except PolymfError as exc:
+        second = exc
+    for path, obj in ((args.file1, first), (args.file2, second)):
+        if not isinstance(obj, PolymfError) and artifact_kind(obj) != "mf3":
+            raise PolymfError(f"{path} does not hold a 3-matrix factorization")
     check_tensor_size(claimed_size(first) * claimed_size(second))
     x = artifact_from_obj(first)
-    y = artifact_from_obj(_load_obj(args.file2) if second is None else second)
-    for path, artifact in ((args.file1, x), (args.file2, y)):
-        if not isinstance(artifact, MF3):
-            raise PolymfError(f"{path} does not hold a 3-matrix factorization")
-    _emit_artifact(args, tensor3(x, y))
+    if isinstance(second, PolymfError):
+        raise second
+    _emit_artifact(args, tensor3(x, artifact_from_obj(second)))
     return 0
 
 

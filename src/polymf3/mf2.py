@@ -58,7 +58,23 @@ def _certificate_product(components) -> RatMatrix:
     return a @ (b @ c)
 
 
-class Factorization:
+class Components:
+    """A tuple of matrices, its `components`. Each name in a subclass's own
+    `names` becomes a read-only property for the component at its position."""
+
+    __slots__ = ("_components",)
+    names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        for i, name in enumerate(vars(cls).get("names", ())):
+            setattr(cls, name, property(lambda self, i=i: self._components[i]))
+
+    @property
+    def components(self) -> tuple[RatMatrix, ...]:
+        return self._components
+
+
+class Factorization(Components):
     """A certified tuple of square matrices whose product is target*I.
 
     Subclasses name the components; the certificate multiplies them out in
@@ -66,8 +82,7 @@ class Factorization:
     labelled by the joined names ("P*Q", "A1*A2*A3").
     """
 
-    __slots__ = ("_components", "_target")
-    names: tuple[str, ...] = ()
+    __slots__ = ("_target",)
 
     def __init__(self, components: tuple, target: Polynomial):
         shapes = [m.shape for m in components]
@@ -81,10 +96,6 @@ class Factorization:
         check_product_is_scalar("*".join(self.names), _certificate_product(components), target)
         self._components = components
         self._target = target
-
-    @property
-    def components(self) -> tuple[RatMatrix, ...]:
-        return self._components
 
     @property
     def target(self) -> Polynomial:
@@ -131,14 +142,6 @@ class MF2(Factorization):
 
     def __init__(self, P: RatMatrix, Q: RatMatrix, target: Polynomial):
         super().__init__((P, Q), target)
-
-    @property
-    def P(self) -> RatMatrix:
-        return self._components[0]
-
-    @property
-    def Q(self) -> RatMatrix:
-        return self._components[1]
 
     def is_two_sided(self) -> bool:
         """Whether Q*P = target*I as well (automatic when target != 0)."""

@@ -62,18 +62,6 @@ class MF3(Factorization):
             _check_provenance(self, provenance)
         self.provenance = provenance
 
-    @property
-    def A1(self) -> RatMatrix:
-        return self._components[0]
-
-    @property
-    def A2(self) -> RatMatrix:
-        return self._components[1]
-
-    @property
-    def A3(self) -> RatMatrix:
-        return self._components[2]
-
 
 def _check_provenance(x: MF3, p: Provenance):
     """Raise DimensionError unless the L, U pair of x ((A1, A2) or (A2, A3)) has
@@ -242,14 +230,11 @@ def promote(
     """
     if which not in _WHICH:
         raise ValueError(f"which must be 'first' or 'second', got {which!r}")
-    factor = X.P if which == "first" else X.Q
-    result = lu_decompose(factor, method=method, pivot=pivot)
+    k = _WHICH.index(which)
+    result = lu_decompose(X.components[k], method=method, pivot=pivot)
     L = result.L
     if result.permutation is not None:
         L = result.permutation.transpose().apply_rows(L)
-    if which == "first":
-        triple = (L, result.U, X.Q)
-    else:
-        triple = (X.P, L, result.U)
+    triple = X.components[:k] + (L, result.U) + X.components[k + 1 :]
     provenance = Provenance(method, which, result.permutation is not None)
     return MF3(*triple, X.target, provenance=provenance)

@@ -36,9 +36,11 @@ def matrix_to_obj(m: RatMatrix) -> dict:
 
 
 def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
+    if not isinstance(obj, dict):
+        raise ParseError("malformed matrix object: not a JSON object")
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise ParseError(f"malformed matrix object: missing {exc}") from None
     for name, value in (("rows", rows), ("cols", cols)):
         if type(value) is not int:
@@ -169,7 +171,7 @@ def artifact_kind(obj) -> str:
 def claimed_size(obj) -> int:
     """The size an MF3 object claims by its A1 rows, read without parsing,
     when they are a positive int; else 0."""
-    a1 = obj["A1"] if isinstance(obj, dict) and "A1" in obj and artifact_kind(obj) == "mf3" else None
+    a1 = obj.get("A1") if isinstance(obj, dict) else None
     rows = a1.get("rows") if isinstance(a1, dict) else None
     return rows if type(rows) is int and rows > 0 else 0
 

@@ -8,6 +8,7 @@ from polymf3 import (
     MF2,
     MF3,
     DimensionError,
+    Factorization,
     Morphism,
     Morphism3,
     MorphismError,
@@ -48,6 +49,18 @@ def triple_g(ctx):
         x * y * z + z * x**2,
     )
     return promote(pair, "first", "doolittle")
+
+
+def test_each_declared_name_is_a_read_only_accessor(ctx, triple_f):
+    x, y, _ = ctx.gens()
+    pair = MF2(RatMatrix.from_rows(ctx, [[x]]), RatMatrix.from_rows(ctx, [[y]]), x * y)
+    for obj, name in ((pair, "P"), (triple_f, "A2"), (Morphism3.identity(triple_f), "delta")):
+        assert [getattr(obj, n) for n in type(obj).names] == list(obj.components)
+        with pytest.raises(AttributeError):
+            setattr(obj, name, obj.components[0])
+    for base in (Factorization, Morphism):
+        assert base.names == ()
+        assert not any(hasattr(base, n) for n in MF2.names + MF3.names + Morphism3.names)
 
 
 def test_identity_morphism_accepted(triple_f):

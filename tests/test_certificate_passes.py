@@ -3,6 +3,7 @@ replace (first_difference, check_product_is_scalar, RatMatrix.in_context),
 parsing each entry text of a stored matrix once, and the MAX_SIZE bound."""
 
 import json
+import pathlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -14,6 +15,7 @@ from polymf3 import (
     CertificateError,
     ContextError,
     DimensionError,
+    Morphism,
     ParseError,
     Polynomial,
     RatMatrix,
@@ -29,6 +31,7 @@ from polymf3.mf2 import check_product_is_scalar
 from polymf3.parsing import parse_rational_function
 from polymf3.serialize import factorization_to_obj, matrix_from_obj
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 CTX = VarContext("x y z")
 X, Y, Z = CTX.gens()
 ONE = RationalFunction.one(CTX)
@@ -331,6 +334,22 @@ def test_cli_tensor3_refuses_claimed_shapes_before_parsing_or_certifying(tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: tensor3 would be 4096x4096; at most 256x256 is supported\n"
+
+
+@pytest.mark.parametrize("position", ["first", "second"])
+def test_cli_tensor3_refuses_another_kind_before_parsing_or_certifying(capsys, monkeypatch, position):
+    def forbidden(*args):
+        raise AssertionError("parsed or certified before refusing")
+
+    monkeypatch.setattr(serialize, "parse_rational_function", forbidden)
+    for cls in (Morphism, MF3):
+        monkeypatch.setattr(cls, "__init__", forbidden)
+    morphism, triple = str(GOLDEN / "morphism.json"), str(GOLDEN / "factor3-default.json")
+    files = [morphism, triple] if position == "first" else [triple, morphism]
+    assert main(["tensor3", *files]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {morphism} does not hold a 3-matrix factorization\n"
 
 
 def test_cli_tensor3_reports_a_malformed_first_file_before_an_unreadable_second(tmp_path, capsys):

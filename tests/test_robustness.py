@@ -112,7 +112,19 @@ def test_a_mistyped_matrix_shape_is_a_malformed_matrix(tmp_path, capsys, keys, v
     assert err == f"error: malformed matrix object: {reason}\n"
 
 
+def test_json_nested_too_deeply_is_a_one_line_parse_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    triple = str(stored(capsys, tmp_path, ["factor3", "x*y", "--format", "json"])[0])
+    for argv in (["verify", str(deep)], ["tensor3", str(deep), triple], ["tensor3", triple, str(deep)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {deep} is not valid JSON: ") and "recursion" in err
+        assert err.count("\n") == 1
+
+
 NOT_ROWS = "malformed matrix object: entries is not a list of rows"
+NOT_OBJECT = "malformed matrix object: not a JSON object"
 
 
 @pytest.mark.parametrize(
@@ -128,8 +140,15 @@ NOT_ROWS = "malformed matrix object: entries is not a list of rows"
             lambda obj: obj["A1"].update(entries=[["1", "0"]]),
             "malformed matrix object: entry grid does not match shape",
         ),
+        (lambda obj: obj.update(A1=1), NOT_OBJECT),
+        (lambda obj: obj.update(A1="x"), NOT_OBJECT),
+        (lambda obj: obj.update(A1=[1]), NOT_OBJECT),
+        (lambda obj: obj["A1"].pop("rows"), "malformed matrix object: missing 'rows'"),
     ],
-    ids=["string-grid", "string-row", "int-entry", "null-entry", "int-f", "grid-shape"],
+    ids=[
+        "string-grid", "string-row", "int-entry", "null-entry", "int-f", "grid-shape",
+        "int-matrix", "string-matrix", "list-matrix", "no-rows",
+    ],
 )
 def test_a_mistyped_entry_grid_or_target_is_malformed(tmp_path, capsys, change, reason):
     # a 1x1 triple: a string "1" would pass for a 1x1 grid of its characters
