@@ -146,6 +146,8 @@ def _load_obj(path):
             return json.load(fh)
     except OSError as exc:
         raise PolymfError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 

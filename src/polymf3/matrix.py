@@ -13,7 +13,12 @@ product the denominators are products of a few factors, so the kernel, and
 a matrix times a scalar, hands those private operators a ratfunc._Memo
 over both operands' entries: it factors the denominators over a certified
 coprime base, which turns their gcds into trial divisions, and it is
-dropped when the product returns. Every result is canonical, so the entries are the ones a textbook
+dropped when the product returns. A scaled permutation operand (one
+nonzero constant in each row and each column: an identity, a scalar
+matrix, a signed shuffle) skips the kernel: the product permutes the
+other operand's rows or columns and scales each entry's numerator by the
+constant, reusing the entry when it is 1. Every entry is still computed
+exactly. Every result is canonical, so the entries are the ones a textbook
 triple loop of * and + would give.
 
 The steps with no arithmetic are single passes over the entry tuple:
@@ -149,6 +154,20 @@ class RatMatrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         ctx, m = self._ctx, other._cols
+        if (perm := _scaled_permutation(self)) is not None:
+            # row i of the product is c * (row j of other), where self[i, j] = c
+            out = []
+            for j, c in perm:
+                row = other._entries[j * m : (j + 1) * m]
+                out.extend(row if c == 1 else [_times(e, c) for e in row])
+            return RatMatrix._raw(ctx, self._rows, m, tuple(out))
+        if (perm := _scaled_permutation(other)) is not None:
+            # column j of the product is c * (column i of self), where other[i, j] = c
+            source = sorted((j, i, c) for i, (j, c) in enumerate(perm))
+            a = self._entries
+            return RatMatrix._raw(ctx, self._rows, m, tuple(
+                _times(a[r + i], c) for r in range(0, self._rows * m, m) for _, i, c in source
+            ))
         zero, one = RationalFunction.zero(ctx), Polynomial.one(ctx)
         memo = _Memo()
         memo.operands = (self._entries, other._entries)
@@ -294,6 +313,38 @@ def _blocks(grid) -> RatMatrix:
     entries = [e for blocks in grid for i in range(blocks[0]._rows) for b in blocks for e in b.row(i)]
     cols = sum(b._cols for b in grid[0])
     return RatMatrix._raw(grid[0][0]._ctx, len(entries) // cols, cols, tuple(entries))
+
+
+def _scaled_permutation(m: RatMatrix) -> list | None:
+    """For a square m with exactly one nonzero entry in each row and each
+    column, each a constant c, the pair (j, c) of each row i with m[i, j] = c;
+    else None. The scan stops at the first entry that rules m out."""
+    n = m._rows
+    if n != m._cols:
+        return None
+    perm, used = [], set()
+    for k, e in enumerate(m._entries):
+        if not (t := e._num._terms):
+            continue
+        # key 0 is the constant monomial; a constant monic denominator is 1
+        d = e._den._terms
+        if len(t) != 1 or 0 not in t or len(d) != 1 or 0 not in d:
+            return None
+        i, j = divmod(k, n)
+        # a row before this one had no nonzero, or this row has a second one
+        if len(perm) != i or j in used:
+            return None
+        perm.append((j, t[0]))
+        used.add(j)
+    return perm if len(perm) == n else None
+
+
+def _times(e: RationalFunction, c) -> RationalFunction:
+    """e * c for a nonzero constant c: scaling the numerator keeps e reduced
+    and its denominator monic, so the result is canonical."""
+    if c == 1 or not e._num._terms:
+        return e
+    return RationalFunction._raw(e._num.scale(c), e._den)
 
 
 def first_difference(a: RatMatrix, b: RatMatrix) -> tuple[int, int] | None:

@@ -27,6 +27,12 @@ from .parsing import read_polynomial as parse_polynomial
 from .parsing import read_rational_function as parse_rational_function
 
 
+def _shown(value) -> str:
+    """A JSON value as a one-line error echoes it: cut to a short prefix when long."""
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:40] + "..."
+
+
 def matrix_to_obj(m: RatMatrix) -> dict:
     return {
         "rows": m.rows,
@@ -44,7 +50,7 @@ def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
         raise ParseError(f"malformed matrix object: missing {exc}") from None
     for name, value in (("rows", rows), ("cols", cols)):
         if type(value) is not int:
-            raise ParseError(f"malformed matrix object: {name} {json.dumps(value)} is not an integer")
+            raise ParseError(f"malformed matrix object: {name} {_shown(value)} is not an integer")
     # a string would pass for a row of its characters; a non-string entry is
     # the grammar's to refuse, with the error a direct parse of it gives
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
@@ -81,7 +87,7 @@ def _context_from_obj(obj) -> VarContext:
 def _target_from_obj(obj, ctx: VarContext):
     """The polynomial an artifact's "f" names."""
     if type(obj["f"]) is not str:
-        raise ParseError(f"malformed artifact: f {json.dumps(obj['f'])} is not a string")
+        raise ParseError(f"malformed artifact: f {_shown(obj['f'])} is not a string")
     return parse_polynomial(obj["f"], ctx)
 
 
@@ -98,15 +104,14 @@ def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
     """Load and re-certify a factorization of class cls, checking its size claim if any."""
     ctx = _context_from_obj(obj)
     if "size" in obj and type(obj["size"]) is not int:
-        raise ParseError(f"malformed artifact: size {json.dumps(obj['size'])} is not an integer")
+        raise ParseError(f"malformed artifact: size {_shown(obj['size'])} is not an integer")
     f = _target_from_obj(obj, ctx)
     args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
     if cls is MF3:
         p = obj.get("provenance")
         if p is not None:
             if type(p["pivoted"]) is not bool:
-                pivoted = json.dumps(p["pivoted"])
-                raise ParseError(f"malformed artifact: pivoted {pivoted} is not true or false")
+                raise ParseError(f"malformed artifact: pivoted {_shown(p['pivoted'])} is not true or false")
             args.append(Provenance(p["method"], p["decomposed"], p["pivoted"]))
     x = cls(*args)
     if "size" in obj and obj["size"] != x.size:

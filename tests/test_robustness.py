@@ -123,7 +123,44 @@ def test_json_nested_too_deeply_is_a_one_line_parse_error(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
-NOT_ROWS = "malformed matrix object: entries is not a list of rows"
+def test_a_file_that_is_not_utf8_is_a_one_line_parse_error_naming_it(tmp_path, capsys):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    triple = str(stored(capsys, tmp_path, ["factor3", "x*y", "--format", "json"])[0])
+    for argv in (["verify", str(bad)], ["tensor3", str(bad), triple], ["tensor3", triple, str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {bad} is not UTF-8 text: ") and err.count("\n") == 1
+
+
+LONG_LIST, LONG_STRING = list(range(5000)), "9" * 10_000
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rows", LONG_LIST),
+        ("rows", LONG_STRING),
+        ("f", LONG_LIST),
+        ("size", LONG_LIST),
+        ("size", LONG_STRING),
+        ("pivoted", LONG_LIST),
+        ("pivoted", LONG_STRING),
+    ],
+    ids=["rows-list", "rows-string", "f-list", "size-list", "size-string", "pivoted-list", "pivoted-string"],
+)
+def test_a_long_mistyped_value_is_echoed_as_a_short_prefix(tmp_path, capsys, field, value):
+    path, obj = stored(capsys, tmp_path, SQUARES)
+    {"rows": obj["A1"], "f": obj, "size": obj, "pivoted": obj["provenance"]}[field][field] = value
+    path.write_text(json.dumps(obj))
+    for argv in (["verify", str(path)], ["tensor3", str(path), str(path)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f" {field} {json.dumps(value)[:40]}... is not " in err
+        assert err.count("\n") == 1 and len(err) < 150
+
+
+NOT_ROWS ="malformed matrix object: entries is not a list of rows"
 NOT_OBJECT = "malformed matrix object: not a JSON object"
 
 
