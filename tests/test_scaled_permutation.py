@@ -32,7 +32,7 @@ def _general(rng: random.Random, rows: int, cols: int) -> RatMatrix:
     return RatMatrix.from_rows(CTX, [[_entry(rng) for _ in range(cols)] for _ in range(rows)])
 
 
-def _scaled_permutation(rng: random.Random, n: int) -> RatMatrix:
+def _random_scaled_permutation(rng: random.Random, n: int) -> RatMatrix:
     kind = rng.choice(["identity", "scalar", "signed"])
     if kind == "identity":
         return RatMatrix.identity(CTX, n)
@@ -72,7 +72,7 @@ def _no_kernel(monkeypatch):
 def test_scaled_permutation_products_match_the_textbook_loop(seed, monkeypatch):
     rng = random.Random(seed)
     n = rng.randint(1, 5)
-    m = _scaled_permutation(rng, n)
+    m = _random_scaled_permutation(rng, n)
     left, right = _general(rng, rng.randint(1, 4), n), _general(rng, n, rng.randint(1, 4))
     expected = [_textbook(m, right), _textbook(left, m), _textbook(m, m)]
     _no_kernel(monkeypatch)
