@@ -246,12 +246,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.verb](args)
-    except (ParseError, ValueError) as exc:
+    except (PolymfError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except PolymfError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 2 if isinstance(exc, (ParseError, ValueError)) else 1
 
 
 def entry():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ContextError
+from .errors import ContextError, _shown
 
 _IDENT = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*\Z")
 
@@ -29,9 +29,9 @@ class VarContext:
         seen = {}
         for i, name in enumerate(names):
             if not _IDENT.match(name):
-                raise ValueError(f"invalid variable name: {name!r}")
+                raise ValueError(f"invalid variable name: {_shown(repr(name))}")
             if name in seen:
-                raise ValueError(f"duplicate variable name: {name!r}")
+                raise ValueError(f"duplicate variable name: {_shown(repr(name))}")
             seen[name] = i
         self._names = names
         self._index = seen

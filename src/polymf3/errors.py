@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the bound on what their
+one-line messages echo of an input value."""
+
+
+def _shown(text: str) -> str:
+    """A value's text (its repr, say) as a one-line error echoes it: cut to
+    its first 40 characters and '...' when longer."""
+    return text if len(text) <= 40 else text[:40] + "..."
 
 
 class PolymfError(Exception):

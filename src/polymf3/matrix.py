@@ -9,17 +9,17 @@ and its numerator when its denominator is 1. The terms with two polynomial
 factors are summed into one term dict (poly._dot, the one sparse product
 loop, which Polynomial.__mul__ calls too); the others go through the
 fraction field's private _mul/_add, which skip coercion. Within one
-product the denominators are products of a few factors, so the kernel, and
-a matrix times a scalar, hands those private operators a ratfunc._Memo
-over both operands' entries: it factors the denominators over a certified
-coprime base, which turns their gcds into trial divisions, and it is
-dropped when the product returns. A scaled permutation operand (one
-nonzero constant in each row and each column: an identity, a scalar
-matrix, a signed shuffle) skips the kernel: the product permutes the
-other operand's rows or columns and scales each entry's numerator by the
-constant, reusing the entry when it is 1. Every entry is still computed
-exactly. Every result is canonical, so the entries are the ones a textbook
-triple loop of * and + would give.
+product the denominators are products of a few factors, so the kernel
+hands those private operators a ratfunc._Memo over both operands' entries:
+it factors the denominators over a certified coprime base, which turns
+their gcds into trial divisions, and it is dropped when the product
+returns. A scaled permutation operand (one nonzero constant in each row
+and each column: an identity, a scalar matrix, a signed shuffle) skips the
+kernel: the product permutes the other operand's rows or columns and
+scales each entry's numerator by the constant, reusing the entry when it
+is 1. M * c is M @ (c*I), and P.apply_rows(M) is P's 0/1 matrix @ M.
+Every entry is still computed exactly. Every result is canonical, so the
+entries are the ones a textbook triple loop of * and + would give.
 
 The steps with no arithmetic are single passes over the entry tuple:
 first_difference compares the contexts once, then canonical term dicts, and
@@ -201,17 +201,12 @@ class RatMatrix:
         if isinstance(other, RatMatrix):
             return self.__matmul__(other)
         try:
-            v = RationalFunction.from_value(self._ctx, other)
+            scalar = RatMatrix.scalar(self._ctx, self._cols, other)
         except TypeError:
             return NotImplemented
-        memo = _Memo()
-        memo.operands = (self._entries, (v,))
-        return RatMatrix._raw(
-            self._ctx, self._rows, self._cols, tuple(e._mul(v, memo) for e in self._entries)
-        )
+        return self @ scalar
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def __add__(self, other):
         if not isinstance(other, RatMatrix):
@@ -229,10 +224,10 @@ class RatMatrix:
     def __sub__(self, other):
         if not isinstance(other, RatMatrix):
             return NotImplemented
-        return self + other.map_entries(lambda e: -e)
+        return self + -other
 
     def __neg__(self):
-        return self.map_entries(lambda e: -e)
+        return RatMatrix._raw(self._ctx, self._rows, self._cols, tuple(-e for e in self._entries))
 
     def transpose(self) -> RatMatrix:
         cols = self._cols
@@ -242,9 +237,6 @@ class RatMatrix:
             self._rows,
             tuple(self._entries[i * cols + j] for j in range(cols) for i in range(self._rows)),
         )
-
-    def map_entries(self, fn) -> RatMatrix:
-        return RatMatrix(self._ctx, self._rows, self._cols, [fn(e) for e in self._entries])
 
     def kron(self, other: RatMatrix) -> RatMatrix:
         """Kronecker product: block (i, j) of the result is self[i,j] * other."""
@@ -392,16 +384,14 @@ class PermutationMatrix:
         return PermutationMatrix(inverse)
 
     def to_matrix(self, ctx: VarContext) -> RatMatrix:
-        return self.apply_rows(RatMatrix.identity(ctx, len(self._image)))
+        n, zero, one = len(self._image), RationalFunction.zero(ctx), RationalFunction.one(ctx)
+        return RatMatrix(ctx, n, n, [one if j == v else zero for v in self._image for j in range(n)])
 
     def apply_rows(self, m: RatMatrix) -> RatMatrix:
-        """Left multiplication: row i of the result is row image[i] of m."""
+        """Left multiplication, by @: row i of the result is row image[i] of m."""
         if m.rows != len(self._image):
             raise DimensionError("permutation size does not match row count")
-        entries = []
-        for i in range(m.rows):
-            entries.extend(m.row(self._image[i]))
-        return RatMatrix._raw(m.context, m.rows, m.cols, tuple(entries))
+        return self.to_matrix(m.context) @ m
 
     def __eq__(self, other):
         if not isinstance(other, PermutationMatrix):

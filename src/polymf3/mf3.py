@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, SingularPivotError, StructurallySingularError
+from .errors import DimensionError, SingularPivotError, StructurallySingularError, _shown
 from .matrix import PermutationMatrix, RatMatrix, _blocks
 from .mf2 import MF2, Factorization
 from .poly import Polynomial
@@ -67,9 +67,9 @@ def _check_provenance(x: MF3, p: Provenance):
     """Raise DimensionError unless the L, U pair of x ((A1, A2) or (A2, A3)) has
     the shape of the LU split that p names."""
     if p.method not in _METHODS:
-        raise DimensionError(f"provenance method {p.method!r} is not doolittle or crout")
+        raise DimensionError(f"provenance method {_shown(repr(p.method))} is not doolittle or crout")
     if p.decomposed not in _WHICH:
-        raise DimensionError(f"provenance decomposed {p.decomposed!r} is not first or second")
+        raise DimensionError(f"provenance decomposed {_shown(repr(p.decomposed))} is not first or second")
     k = _WHICH.index(p.decomposed)
     l_name, u_name = x.names[k : k + 2]
     L, U = x.components[k : k + 2]

@@ -43,7 +43,7 @@ from math import comb, prod
 from string import digits
 
 from .context import VarContext
-from .errors import ParseError, UnknownVariableError
+from .errors import ParseError, UnknownVariableError, _shown
 from .poly import Polynomial, _quotient
 from .ratfunc import RationalFunction
 
@@ -129,7 +129,7 @@ class _Parser:
     def end(self):
         tok = self.advance()
         if tok.kind != "END":
-            raise ParseError(f"unexpected {tok.value!r}", self.text, tok.pos)
+            raise ParseError(f"unexpected {_shown(repr(tok.value))}", self.text, tok.pos)
 
     def check_expansion(self, term_products: int, coefficient_bits: int, pos: int):
         if term_products > MAX_TERM_PRODUCTS:
@@ -229,7 +229,7 @@ class _Parser:
         if tok.kind == "IDENT":
             if tok.value not in self.ctx:
                 raise UnknownVariableError(
-                    f"unknown variable {tok.value!r}", self.text, tok.pos
+                    f"unknown variable {_shown(repr(tok.value))}", self.text, tok.pos
                 )
             return Polynomial.variable(self.ctx, tok.value)
         if tok.kind == "OP" and tok.value == "(":
@@ -237,7 +237,7 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(
-            f"unexpected {tok.value!r}" if tok.kind != "END" else "unexpected end of input",
+            f"unexpected {_shown(repr(tok.value))}" if tok.kind != "END" else "unexpected end of input",
             self.text,
             tok.pos,
         )
@@ -252,6 +252,14 @@ def infer_context(text: str) -> VarContext:
     return VarContext(names)
 
 
+def _parse(text: str, ctx: VarContext, rule):
+    """The value of one _Parser rule that spans the whole of text."""
+    parser = _Parser(text, ctx)
+    value = rule(parser)
+    parser.end()
+    return value
+
+
 def parse_polynomial(text: str, ctx: VarContext | None = None) -> Polynomial:
     """Parse text to a canonical Polynomial.
 
@@ -260,10 +268,7 @@ def parse_polynomial(text: str, ctx: VarContext | None = None) -> Polynomial:
     """
     if ctx is None:
         ctx = infer_context(text)
-    parser = _Parser(text, ctx)
-    poly = parser.expr()
-    parser.end()
-    return poly
+    return _parse(text, ctx, _Parser.expr)
 
 
 def parse_summands(text: str, ctx: VarContext) -> list[list[Polynomial]]:
@@ -272,18 +277,12 @@ def parse_summands(text: str, ctx: VarContext) -> list[list[Polynomial]]:
     Each summand keeps its written product structure; a leading minus is
     folded into the first factor.
     """
-    parser = _Parser(text, ctx)
-    summands = parser.summands()
-    parser.end()
-    return summands
+    return _parse(text, ctx, _Parser.summands)
 
 
 def parse_rational_function(text: str, ctx: VarContext) -> RationalFunction:
     """Parse a canonical rational-function string "num/den" (den omitted when 1)."""
-    parser = _Parser(text, ctx)
-    value = parser.quotient()
-    parser.end()
-    return value
+    return _parse(text, ctx, _Parser.quotient)
 
 
 # -- stored entries ------------------------------------------------------------

@@ -3,7 +3,9 @@
 Canonical form: gcd(num, den) = 1, den has graded-lex leading coefficient 1,
 and zero is 0/1. Equality is therefore structural. The constructor reduces
 any num/den to this form; operations whose results are already coprime build
-them through RationalFunction._raw after the one monic step, _monic.
+them through RationalFunction._raw. Sums and products build monic
+denominators, as every gcd is monic and so is any product or exact quotient
+of monic polynomials; only an inverse or a context move rescales (_monic).
 
 The private _add and _mul take a _Memo, one matrix product's denominators
 over a coprime base of factors certified irreducible. Over it a gcd of
@@ -104,7 +106,8 @@ def _coprime_base(operands) -> list[Polynomial]:
     are monic and free of monomial factors, so coprime to the variables."""
     variables: dict[int, Polynomial] = {}
     base: dict[Polynomial, bool] = {}  # each factor: certified irreducible?
-    for d in {e._den for entries in operands for e in entries if not e._den.is_one}:
+    # first-seen order, so the refinement and its gcds do not depend on the hash seed
+    for d in dict.fromkeys(e._den for entries in operands for e in entries if not e._den.is_one):
         m, rest = d._strip_monomial_content()
         for i in m.var_indices():
             variables[i] = Polynomial.variable(d._ctx, d._ctx.name_of(i))
@@ -280,7 +283,7 @@ class RationalFunction:
         if not h.is_one:
             num = num.exact_div(h)
             den = den.exact_div(h)
-        return RationalFunction._raw(*_monic(num, den))
+        return RationalFunction._raw(num, den)
 
     __radd__ = __add__
 
@@ -324,14 +327,14 @@ class RationalFunction:
         if d2.is_one:
             # n1/d1 times the polynomial n2: only n2 and d1 can share a factor
             g = gcd(n2, d1)
-            return RationalFunction._raw(*_monic(n1 * n2.exact_div(g), d1.exact_div(g)))
+            return RationalFunction._raw(n1 * n2.exact_div(g), d1.exact_div(g))
         # cross-reduce before multiplying; both inputs are canonical, so the
-        # result is already reduced and only needs a monic denominator
+        # result is already reduced
         g1 = gcd(n1, d2)
         g2 = gcd(n2, d1)
         num = n1.exact_div(g1) * n2.exact_div(g2)
         den = d1.exact_div(g2) * d2.exact_div(g1)
-        return RationalFunction._raw(*_monic(num, den))
+        return RationalFunction._raw(num, den)
 
     __rmul__ = __mul__
 
@@ -380,25 +383,15 @@ class RationalFunction:
             *_monic(self._num.in_context(new_ctx), self._den.in_context(new_ctx))
         )
 
-    @staticmethod
-    def _atomic(p: Polynomial) -> bool:
-        """True when str(p) needs no parentheses inside a num/den quotient."""
-        if len(p._terms) != 1:
-            return False
-        (key, coeff), = p._terms.items()
-        if not key:
-            return coeff >= 0 and coeff.denominator == 1
-        # one variable: the top used field holds the whole degree
-        top = p._ctx._n * p._w
-        fields = key & (1 << top) - 1
-        return coeff == 1 and fields >> (fields.bit_length() - 1) // p._w * p._w == key >> top
-
     def __str__(self):
         if self._den.is_one:
             return str(self._num)
-        num = str(self._num) if self._atomic(self._num) else f"({self._num})"
-        den = str(self._den) if self._atomic(self._den) else f"({self._den})"
-        return f"{num}/{den}"
+        # a side stays bare when it is the writer grammar's INT or NAME ['^' INT]
+        # (see parsing), the only polynomial texts with none of ' ', '-', '*', '/'
+        return "/".join(
+            f"({s})" if any(c in s for c in " -*/") else s for s in (str(self._num), str(self._den))
+        )
 
     def __repr__(self):
         return f"RationalFunction({self})"
+

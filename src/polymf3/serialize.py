@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 from .category import Morphism3
 from .context import VarContext
-from .errors import CertificateError, ContextError, DimensionError, MorphismError, ParseError
+from .errors import CertificateError, ContextError, DimensionError, MorphismError, ParseError, _shown
 from .matrix import MAX_SIZE, RatMatrix
 from .mf2 import MF2, Factorization
 from .mf3 import MF3, Provenance
@@ -25,12 +25,6 @@ from .mf3 import MF3, Provenance
 # general grammar
 from .parsing import read_polynomial as parse_polynomial
 from .parsing import read_rational_function as parse_rational_function
-
-
-def _shown(value) -> str:
-    """A JSON value as a one-line error echoes it: cut to a short prefix when long."""
-    text = json.dumps(value)
-    return text if len(text) <= 40 else text[:40] + "..."
 
 
 def matrix_to_obj(m: RatMatrix) -> dict:
@@ -50,7 +44,8 @@ def matrix_from_obj(obj, ctx: VarContext) -> RatMatrix:
         raise ParseError(f"malformed matrix object: missing {exc}") from None
     for name, value in (("rows", rows), ("cols", cols)):
         if type(value) is not int:
-            raise ParseError(f"malformed matrix object: {name} {_shown(value)} is not an integer")
+            shown = _shown(json.dumps(value))
+            raise ParseError(f"malformed matrix object: {name} {shown} is not an integer")
     # a string would pass for a row of its characters; a non-string entry is
     # the grammar's to refuse, with the error a direct parse of it gives
     if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
@@ -87,7 +82,7 @@ def _context_from_obj(obj) -> VarContext:
 def _target_from_obj(obj, ctx: VarContext):
     """The polynomial an artifact's "f" names."""
     if type(obj["f"]) is not str:
-        raise ParseError(f"malformed artifact: f {_shown(obj['f'])} is not a string")
+        raise ParseError(f"malformed artifact: f {_shown(json.dumps(obj['f']))} is not a string")
     return parse_polynomial(obj["f"], ctx)
 
 
@@ -104,14 +99,15 @@ def factorization_from_obj(obj, cls: type[Factorization]) -> Factorization:
     """Load and re-certify a factorization of class cls, checking its size claim if any."""
     ctx = _context_from_obj(obj)
     if "size" in obj and type(obj["size"]) is not int:
-        raise ParseError(f"malformed artifact: size {_shown(obj['size'])} is not an integer")
+        raise ParseError(f"malformed artifact: size {_shown(json.dumps(obj['size']))} is not an integer")
     f = _target_from_obj(obj, ctx)
     args = [matrix_from_obj(obj[name], ctx) for name in cls.names] + [f]
     if cls is MF3:
         p = obj.get("provenance")
         if p is not None:
             if type(p["pivoted"]) is not bool:
-                raise ParseError(f"malformed artifact: pivoted {_shown(p['pivoted'])} is not true or false")
+                shown = _shown(json.dumps(p["pivoted"]))
+                raise ParseError(f"malformed artifact: pivoted {shown} is not true or false")
             args.append(Provenance(p["method"], p["decomposed"], p["pivoted"]))
     x = cls(*args)
     if "size" in obj and obj["size"] != x.size:

@@ -2,7 +2,11 @@
 factors it certifies, which denominators it factors, and sums and products
 over it against the public operators and the reducing constructor."""
 
+import json
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -199,3 +203,50 @@ def test_kron_reuses_the_right_block_for_a_left_entry_one():
     for i in range(4):
         for j in range(4):
             _assert_same(got[i, j], left[i // 2, j // 2] * right[i % 2, j % 2])
+
+
+_HASH_SEED_PROBE = """
+import json
+from polymf3 import RatMatrix, RationalFunction, VarContext
+from polymf3 import ratfunc
+
+ctx = VarContext("x y z")
+x, y, z = ctx.gens()
+calls, bases = [0], []
+gcd, coprime_base = ratfunc.gcd, ratfunc._coprime_base
+
+def counting_gcd(a, b):
+    calls[0] += 1
+    return gcd(a, b)
+
+def recording_base(operands):
+    base = coprime_base(operands)
+    bases.append([str(b) for b in base])
+    return base
+
+ratfunc.gcd, ratfunc._coprime_base = counting_gcd, recording_base
+dens = [x**2 - y**2, (x + y) * (y + z), (x - y) * (x + z), x**2 + y*z, (y + z) * (x + z), z**2 - x**2]
+a = RatMatrix.from_rows(ctx, [
+    [RationalFunction(x, d) for d in dens[:3]], [RationalFunction(y, d) for d in dens[3:]],
+])
+b = RatMatrix.from_rows(ctx, [[RationalFunction(z, d), 1] for d in dens[1:4]])
+a @ b
+print(json.dumps([calls[0], bases]))
+"""
+
+
+def test_the_work_of_a_product_does_not_depend_on_the_hash_seed():
+    """The base is refined in first-seen order of the denominators, so the
+    gcds it runs and the order of its factors are the same in every process."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    reports = []
+    for seed in ("0", "1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_PROBE],
+            env={"PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True, timeout=60,
+        )
+        reports.append(json.loads(done.stdout))
+    calls, bases = reports[0]
+    assert len(bases) == 1 and len(bases[0]) == 6 and calls > 0
+    assert reports[1] == reports[0] and reports[2] == reports[0]

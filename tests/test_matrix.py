@@ -1,10 +1,13 @@
 """Exact matrices: products, Kronecker, direct sums, perfect shuffles."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from conftest import random_fraction_entry
 from polymf3 import (
+    ContextError,
     DimensionError,
     PermutationMatrix,
     RatMatrix,
@@ -14,6 +17,7 @@ from polymf3 import (
 )
 from polymf3.laws import random_polynomial
 from polymf3.matrix import first_difference
+from polymf3.mf2 import standard_method
 
 
 def naive_matmul(a, b):
@@ -206,3 +210,79 @@ def test_first_difference_on_rectangular_matrices(ctx):
     assert first_difference(a, RatMatrix.from_rows(ctx, [[1, 2, 0], [0, 5, 6]])) == (0, 2)
     with pytest.raises(DimensionError):
         first_difference(a, a.transpose())
+
+
+def _block_step_scalars(ctx):
+    """t/s, c/s and b/s of mf3._block_lu's step on a standard-method factor."""
+    x, y, z, w = ctx.gens()
+    m = standard_method(x * y + z * w - x * z + y * w).components[0]
+    h = m.rows // 2
+    b, c = m[0, h], m[h, 0]
+    s = sum((m[0, k] * m[k + h, h] for k in range(h)), RationalFunction.zero(ctx))
+    t = s - c * b
+    return [t / s, c / s, b / s]
+
+
+def _scalars(ctx):
+    x, y, z, _ = ctx.gens()
+    constants = [0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 3)]
+    return constants + [x * y - z, RationalFunction(x, y + z)] + _block_step_scalars(ctx)
+
+
+@pytest.mark.parametrize("seed, shape", [(0, (2, 3)), (1, (3, 2)), (2, (1, 4)), (3, (4, 4))])
+def test_matrix_times_scalar_equals_the_entrywise_products(seed, shape):
+    ctx = VarContext("x y z w")
+    rng = random.Random(seed)
+    rows, cols = shape
+    entries = [random_fraction_entry(rng, ctx) for _ in range(rows * cols)]
+    # a denominator the block-step scalars share
+    entries[0] = RationalFunction(ctx.gens()[0], _block_step_scalars(ctx)[0].denominator)
+    m = RatMatrix(ctx, rows, cols, entries)
+    for c in _scalars(ctx):
+        expected = RatMatrix(ctx, rows, cols, [e * c for e in entries])
+        assert m * c == expected, c
+        assert c * m == expected, c
+        assert [str(e) for e in (m * c).row(0)] == [str(e) for e in expected.row(0)]
+
+
+def test_matrix_times_a_non_scalar_or_a_foreign_scalar_is_refused():
+    ctx = VarContext("x y")
+    m = RatMatrix.from_rows(ctx, [[1, ctx.gens()[0], 0]])
+    with pytest.raises(TypeError):
+        m * "x"
+    with pytest.raises(TypeError):
+        "x" * m
+    u = VarContext("u").gens()[0]
+    for c in (u, RationalFunction(u, u + 1)):
+        with pytest.raises(ContextError):
+            m * c
+        with pytest.raises(ContextError):
+            c * m
+
+
+def test_negation_and_difference_equal_the_entrywise_results():
+    ctx = VarContext("x y z")
+    rng = random.Random(5)
+    a_entries = [random_fraction_entry(rng, ctx) for _ in range(6)]
+    b_entries = [random_fraction_entry(rng, ctx) for _ in range(6)]
+    a, b = RatMatrix(ctx, 2, 3, a_entries), RatMatrix(ctx, 2, 3, b_entries)
+    assert -a == RatMatrix(ctx, 2, 3, [-e for e in a_entries])
+    assert a - b == RatMatrix(ctx, 2, 3, [p - q for p, q in zip(a_entries, b_entries)])
+    assert a - a == RatMatrix.zeros(ctx, 2, 3)
+    with pytest.raises(DimensionError):
+        a - RatMatrix.zeros(ctx, 3, 2)
+
+
+def test_apply_rows_on_a_rectangular_matrix_gathers_its_rows():
+    ctx = VarContext("x y z")
+    rng = random.Random(11)
+    m = RatMatrix(ctx, 4, 3, [random_fraction_entry(rng, ctx) for _ in range(12)])
+    image = [2, 0, 3, 1]
+    gathered = []
+    for i in range(4):
+        for j in range(3):
+            gathered.append(m[image[i], j])
+    assert PermutationMatrix(image).apply_rows(m) == RatMatrix(ctx, 4, 3, gathered)
+    assert PermutationMatrix(image).to_matrix(ctx) @ m == RatMatrix(ctx, 4, 3, gathered)
+    with pytest.raises(DimensionError):
+        PermutationMatrix([1, 0]).apply_rows(m)

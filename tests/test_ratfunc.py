@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from polymf3 import Polynomial, RationalFunction, VarContext, parse_polynomial
+from polymf3.parsing import parse_rational_function
 from polymf3.laws import random_polynomial
 
 
@@ -145,3 +146,49 @@ def test_in_context_keeps_canonical_form_in_wider_contexts():
             assert moved.denominator == fresh.denominator
             if new in kept:
                 assert str(moved) == str(r)
+
+
+def _reference_side(p: Polynomial) -> str:
+    """A quotient side by its terms: bare when it is one term that is a
+    nonnegative integer, or one variable to a power with coefficient 1."""
+    terms = list(p.terms().items())
+    if len(terms) != 1:
+        return f"({p})"
+    ((mono, c),) = terms
+    if mono.powers:
+        bare = c == 1 and len(mono.powers) == 1
+    else:
+        bare = c >= 0 and c.denominator == 1
+    return str(p) if bare else f"({p})"
+
+
+def _side_shapes(ctx: VarContext) -> list[Polynomial]:
+    g = ctx.gens()
+    x, y = g[0], g[-1]
+    sides = [
+        Polynomial.constant(ctx, 7), Polynomial.constant(ctx, Fraction(2, 3)),
+        Polynomial.constant(ctx, -5), x**4, 2 * x, -y, x * y, x**2 * y, x + y - 1,
+        Polynomial.constant(ctx, Fraction(-5, 3)) * y**3 + 10**30,
+    ]
+    if len(ctx) == 14:
+        # total degree 128 and above packs each of the 14 fields 16 bits wide
+        whole = 1
+        for v in g:
+            whole = whole * v
+        sides += [y**200, x**130 * y, whole**10, whole - y**300]
+    return sides
+
+
+@pytest.mark.parametrize("names", ["x y z", " ".join(f"a{i}" for i in range(14))])
+def test_quotient_sides_are_parenthesized_by_their_terms(names):
+    ctx = VarContext(names)
+    sides = _side_shapes(ctx)
+    for num in sides:
+        for den in sides:
+            r = RationalFunction(num, den)
+            if r.denominator.is_one:
+                expected = str(r.numerator)
+            else:
+                expected = f"{_reference_side(r.numerator)}/{_reference_side(r.denominator)}"
+            assert str(r) == expected
+            assert parse_rational_function(str(r), ctx) == r

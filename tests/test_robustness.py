@@ -2,6 +2,8 @@
 
 import json
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -400,3 +402,68 @@ def test_verify_checks_a_morphisms_f_against_its_source(tmp_path, capsys):
     code, out, err = run(capsys, "verify", str(path))
     assert code == 2 and out == ""
     assert err == "error: malformed artifact: f 5 is not a string\n"
+
+
+def _long_name_cases():
+    def f_name(obj):
+        obj["f"] = "x" * 10_000
+
+    def entry_name(obj):
+        obj["P"]["entries"][0][0] = "z" * 5000
+
+    def f_unexpected(obj):
+        obj["f"] = "x " + "1" * 5000
+
+    def vars_invalid(obj):
+        obj["vars"].append("1" + "a" * 4999)
+
+    def vars_duplicate(obj):
+        obj["vars"] += ["a" * 5000, "a" * 5000]
+
+    return [
+        (f_name, "unknown variable 'xxxx"),
+        (entry_name, "unknown variable 'zzzz"),
+        (f_unexpected, "unexpected '1111"),
+        (vars_invalid, "invalid variable name: '1aaa"),
+        (vars_duplicate, "duplicate variable name: 'aaaa"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "change, echo", _long_name_cases(),
+    ids=["f-name", "entry-name", "f-unexpected", "vars-invalid", "vars-duplicate"],
+)
+def test_a_long_value_in_a_stored_text_is_echoed_as_a_short_prefix(tmp_path, change, echo):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    obj = json.loads((root / "tests" / "golden" / "factor2-paper.json").read_text())
+    change(obj)
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    done = subprocess.run(
+        [sys.executable, "-m", "polymf3.cli", "verify", str(path)],
+        env={"PYTHONPATH": str(root / "src")}, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and len(done.stderr) < 300
+    assert "Traceback" not in done.stderr
+    assert echo in done.stderr and "..." in done.stderr
+
+
+def test_a_long_provenance_value_is_echoed_as_a_short_prefix(tmp_path, capsys):
+    path, obj = stored(capsys, tmp_path, SQUARES)
+    obj["provenance"]["method"] = "m" * 5000
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1] == (
+        f"verification: FAIL (provenance method '{'m' * 39}... is not doolittle or crout)"
+    )
+
+
+def test_a_short_echoed_value_keeps_its_whole_text(tmp_path, capsys):
+    code, _, err = run(capsys, "factor2", "x + y", "--vars", "x,x")
+    assert code == 2 and err == "error: duplicate variable name: 'x'\n"
+    code, _, err = run(capsys, "factor2", "x + w", "--vars", "x,y")
+    assert code == 2 and err == "error: unknown variable 'w' (at position 4)\n"
+    code, _, err = run(capsys, "factor2", "x y")
+    assert code == 2 and err == "error: unexpected 'y' (at position 2)\n"
