@@ -198,8 +198,6 @@ class RatMatrix:
         return RatMatrix._raw(ctx, self._rows, m, tuple(out))
 
     def __mul__(self, other):
-        if isinstance(other, RatMatrix):
-            return self.__matmul__(other)
         try:
             scalar = RatMatrix.scalar(self._ctx, self._cols, other)
         except TypeError:

@@ -68,7 +68,7 @@ def _coefficient_bits(c) -> int:
 def _growth_bits(p: Polynomial) -> int:
     """Estimated bits factor p adds to a product's coefficients: its largest
     coefficient's numerator and denominator bits, plus its term count's bits."""
-    bits = [_coefficient_bits(c) for c in p.coefficients()]
+    bits = [_coefficient_bits(c) for c in p._terms.values()]
     return max(bits, default=0) + max(len(p) - 1, 0).bit_length()
 
 
@@ -116,20 +116,6 @@ class _Parser:
     def at_op(self, *chars) -> bool:
         tok = self.peek()
         return tok.kind == "OP" and tok.value in chars
-
-    def expect_op(self, char):
-        tok = self.advance()
-        if tok.kind != "OP" or tok.value != char:
-            raise ParseError(f"expected {char!r}", self.text, tok.pos)
-        return tok
-
-    def fail(self, message):
-        raise ParseError(message, self.text, self.peek().pos)
-
-    def end(self):
-        tok = self.advance()
-        if tok.kind != "END":
-            raise ParseError(f"unexpected {_shown(repr(tok.value))}", self.text, tok.pos)
 
     def check_expansion(self, term_products: int, coefficient_bits: int, pos: int):
         if term_products > MAX_TERM_PRODUCTS:
@@ -190,7 +176,9 @@ class _Parser:
 
     def factor(self) -> Polynomial:
         if self.depth == MAX_NESTING:
-            self.fail(f"expression nested more than {MAX_NESTING} levels deep")
+            raise ParseError(
+                f"expression nested more than {MAX_NESTING} levels deep", self.text, self.peek().pos
+            )
         self.depth += 1
         if self.at_op("-"):
             self.advance()
@@ -234,7 +222,9 @@ class _Parser:
             return Polynomial.variable(self.ctx, tok.value)
         if tok.kind == "OP" and tok.value == "(":
             inner = self.expr()
-            self.expect_op(")")
+            tok = self.advance()
+            if tok.kind != "OP" or tok.value != ")":
+                raise ParseError("expected ')'", self.text, tok.pos)
             return inner
         raise ParseError(
             f"unexpected {_shown(repr(tok.value))}" if tok.kind != "END" else "unexpected end of input",
@@ -256,7 +246,9 @@ def _parse(text: str, ctx: VarContext, rule):
     """The value of one _Parser rule that spans the whole of text."""
     parser = _Parser(text, ctx)
     value = rule(parser)
-    parser.end()
+    tok = parser.advance()
+    if tok.kind != "END":
+        raise ParseError(f"unexpected {_shown(repr(tok.value))}", text, tok.pos)
     return value
 
 

@@ -263,9 +263,6 @@ class Polynomial:
     def __len__(self):
         return len(self._terms)
 
-    def coefficients(self):
-        return self._terms.values()
-
     def _exponents(self, key: int) -> list[int]:
         return _unpack(key, self._ctx._n, self._w)
 

@@ -144,7 +144,7 @@ def morphism_from_obj(obj) -> Morphism3:
     m = Morphism3(source, target, *matrices)
     # compared once the constructor has checked that every context agrees
     if f != source.target:
-        raise ValueError(f"morphism claims f = {f}, but its source factors {source.target}")
+        raise ValueError(f"morphism claims f = {_shown(str(f))}, but its source factors {source.target}")
     return m
 
 
