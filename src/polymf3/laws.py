@@ -72,8 +72,6 @@ def random_target(
         total = Polynomial.zero(ctx)
         for _ in range(summands):
             left = random_single_term(rng, ctx, 2)
-            while left.is_zero:
-                left = random_single_term(rng, ctx, 2)
             right = random_single_term(rng, ctx, 1)
             splits.append(TermSplit(left, right))
             total = total + splits[-1].summand

@@ -68,8 +68,6 @@ class _Memo:
             if len(d._terms) < 2:
                 return None
             self.base = _coprime_base(self.operands)
-        if d.is_one:
-            return (0,) * len(self.base)
         if (v := self.vectors.get(d, d)) is d:
             # no base factor divides d more often than its degree
             rest, v = self.divide(d, [d.total_degree()] * len(self.base))

@@ -10,18 +10,23 @@ from polymf3 import (
     MF3,
     ContextError,
     DimensionError,
+    Monomial,
     Morphism,
+    PermutationMatrix,
     Polynomial,
+    RationalFunction,
     RatMatrix,
     VarContext,
     add_factorizations,
     lu_decompose,
+    perfect_shuffle,
     promote,
     standard_method,
 )
 from polymf3.cli import main
 from polymf3.context import same_context
 from polymf3.laws import SuiteResult
+from polymf3.serialize import artifact_to_obj
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 X_CTX = VarContext("x y")
@@ -158,4 +163,97 @@ def test_a_long_claimed_f_gives_a_bounded_fail_line(tmp_path, capsys):
     assert last == (
         "verification: FAIL (morphism claims f = x^2000 + x^1999 + x^1998 + x^1997 + x^19..., "
         "but its source factors x^2*u^2*w + x^2*u*v*w + y^2*u^2*w + y^2*u*v*w)"
+    )
+
+
+# -- matrix construction and indexing ------------------------------------------------
+
+
+def test_a_matrix_needs_positive_dimensions():
+    for build in (
+        lambda: RatMatrix(X_CTX, 0, 1, []),
+        lambda: RatMatrix.zeros(X_CTX, 0, 1),
+        lambda: RatMatrix.scalar(X_CTX, 0, 1),
+    ):
+        with pytest.raises(DimensionError) as err:
+            build()
+        assert str(err.value) == "matrix dimensions must be positive"
+
+
+def test_matrix_entries_are_refused_with_their_text():
+    one = RationalFunction.one(X_CTX)
+    with pytest.raises(DimensionError) as err:
+        RatMatrix(X_CTX, 2, 2, [one] * 3)
+    assert str(err.value) == "expected 4 entries, got 3"
+    with pytest.raises(TypeError) as err:
+        RatMatrix(X_CTX, 1, 2, [one, 1])
+    assert str(err.value) == "matrix entry 1 is not a RationalFunction"
+    with pytest.raises(ContextError) as err:
+        RatMatrix(X_CTX, 1, 2, [one, RationalFunction.one(Y_CTX)])
+    assert str(err.value) == "matrix entries from different variable contexts"
+
+
+def test_matrix_rows_are_refused_with_their_text():
+    with pytest.raises(DimensionError) as err:
+        matrix(X_CTX, [])
+    assert str(err.value) == "matrix needs at least one row and column"
+    with pytest.raises(DimensionError) as err:
+        matrix(X_CTX, [[1, 2], [3]])
+    assert str(err.value) == "ragged rows"
+
+
+def test_an_entry_out_of_range_is_an_index_error():
+    with pytest.raises(IndexError) as err:
+        RatMatrix.identity(X_CTX, 2)[2, 0]
+    assert str(err.value) == "entry (2, 0) out of range for (2, 2)"
+
+
+def test_permutations_are_refused_with_their_text():
+    with pytest.raises(ValueError) as err:
+        PermutationMatrix([0, 0])
+    assert str(err.value) == "(0, 0) is not a permutation"
+    with pytest.raises(ValueError) as err:
+        perfect_shuffle(0, 2)
+    assert str(err.value) == "shuffle block sizes must be positive"
+
+
+# -- polynomials ----------------------------------------------------------------------
+
+
+def test_polynomial_arguments_are_refused_with_their_text():
+    x, y = X_CTX.gens()
+    with pytest.raises(ValueError) as err:
+        Monomial({0: -1})
+    assert str(err.value) == "negative exponent in monomial"
+    with pytest.raises(ValueError) as err:
+        Polynomial.zero(X_CTX).leading_coefficient()
+    assert str(err.value) == "the zero polynomial has no leading term"
+    with pytest.raises(ValueError) as err:
+        x ** -1
+    assert str(err.value) == "polynomial exponent must be a nonnegative integer"
+    with pytest.raises(ValueError) as err:
+        (x + y).evaluate({"x": 1})
+    assert str(err.value) == "no value supplied for variable 'y'"
+
+
+# -- serialization --------------------------------------------------------------------
+
+
+def test_an_object_that_is_no_artifact_cannot_be_serialized():
+    with pytest.raises(TypeError) as err:
+        artifact_to_obj(object())
+    assert str(err.value).startswith("cannot serialize")
+
+
+def test_a_doolittle_claim_on_a_crout_factor_fails_verification(tmp_path, capsys):
+    obj = json.loads((GOLDEN / "factor3-crout-first.json").read_text())
+    obj["provenance"]["method"] = "doolittle"
+    path = tmp_path / "claims-doolittle.json"
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == (
+        "verification: FAIL (provenance claims doolittle on the first factor, "
+        "but A1 has a non-unit diagonal)"
     )
