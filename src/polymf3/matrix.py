@@ -13,7 +13,10 @@ product the denominators are products of a few factors, so the kernel
 hands those private operators a ratfunc._Memo over both operands' entries:
 it factors the denominators over a certified coprime base, which turns
 their gcds into trial divisions, and it is dropped when the product
-returns. A scaled permutation operand (one nonzero constant in each row
+returns. Two or more fraction terms of an entry are summed at once and
+reduced once (_Memo.lazy_sum) up to LAZY_SUM_CAP base factors in their
+common denominator, and pairwise past it or off the base. A scaled
+permutation operand (one nonzero constant in each row
 and each column: an identity, a scalar matrix, a signed shuffle) skips the
 kernel: the product permutes the other operand's rows or columns and
 scales each entry's numerator by the constant, reusing the entry when it
@@ -183,7 +186,7 @@ class RatMatrix:
                 # entry (i, j): the products of two polynomials summed in one
                 # term dict, the others through the fraction field; the
                 # polynomial sum comes last, as it adds to a fraction with no gcd
-                polys, acc = [], zero
+                polys, fracs = [], []
                 for k, a, pa in row:
                     if (e := right[k * m + j]) is None:
                         continue
@@ -191,6 +194,11 @@ class RatMatrix:
                     if pa is not None and pb is not None:
                         polys.append((pa, pb))
                     else:
+                        fracs.append((a, b))
+                if (acc := memo.lazy_sum(fracs) if len(fracs) > 1 else None) is None:
+                    # one term, or off the base, or past LAZY_SUM_CAP: Henrici's pairwise sums
+                    acc = zero
+                    for a, b in fracs:
                         acc = acc._add(a._mul(b, memo), memo)
                 if polys:
                     acc = acc._add(RationalFunction._raw(_dot(ctx, polys), one), memo)

@@ -11,7 +11,8 @@ The private _add and _mul take a _Memo, one matrix product's denominators
 over a coprime base of factors certified irreducible. Over it a gcd of
 denominators is an exponent minimum and a gcd of a numerator with a
 denominator is found by trial division; a denominator off the base, or no
-memo, takes the general gcd of the poly module.
+memo, takes the general gcd of the poly module. _Memo.lazy_sum sums a
+matrix entry's fractions over their common denominator and reduces once.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ from operator import add, mul
 
 from .context import VarContext, same_context
 from .errors import ContextError
-from .poly import Polynomial, _coefficients_in, _quotient, gcd
+from .poly import Polynomial, _coefficients_in, _dot, _quotient, gcd
+
+# past this many base factors in the common denominator, _Memo.lazy_sum's
+# one large division costs more than Henrici's pairwise reductions
+LAZY_SUM_CAP = 4
 
 
 def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
@@ -94,6 +99,34 @@ class _Memo:
                 num, k = q, k + 1
             exponents.append(k)
         return num, tuple(exponents)
+
+    def lazy_sum(self, terms) -> RationalFunction | None:
+        """The sum of a*b over pairs of nonzero fractions not both polynomials:
+        numerators grouped by the exponents v of d(a)*d(b), each group summed
+        by one _dot, lifted to power(top), top the exponent maximum, and one
+        divide. None when a denominator is off the base or sum(top) > LAZY_SUM_CAP."""
+        groups: dict[tuple[int, ...], list] = {}
+        for a, b in terms:
+            d1, d2 = a._den, b._den
+            if d1.is_one or len(d1._terms) < len(d2._terms):
+                d1, d2 = d2, d1  # d1 the one that builds the base, as in _mul
+            if (v := self.vector(d1)) is None:
+                return None
+            if not d2.is_one:
+                if (w := self.vector(d2)) is None:
+                    return None
+                v = tuple(map(add, v, w))
+            groups.setdefault(v, []).append((a._num, b._num))
+        top = tuple(map(max, zip(*groups)))
+        if sum(top) > LAZY_SUM_CAP:
+            return None
+        ctx = self.base[0]._ctx
+        # a group that cancels to 0 is left out, as _dot takes nonzero factors
+        lifted = [(s, self.power(_sub(top, v))) for v, pairs in groups.items() if (s := _dot(ctx, pairs))._terms]
+        if not (num := _dot(ctx, lifted))._terms:
+            return RationalFunction.zero(ctx)
+        num, h = self.divide(num, top)
+        return RationalFunction._raw(num, self.power(_sub(top, h)))
 
 
 def _coprime_base(operands) -> list[Polynomial]:

@@ -301,3 +301,95 @@ def test_loading_an_endomorphism_certifies_its_factorization_once(monkeypatch, e
     m = morphism_from_obj(obj)
     assert len(calls) == 1 and m.target is m.source
     assert m == endomorphisms[0]
+
+
+# -- one-pass fraction sums over the base ----------------------------------------
+
+
+def _lazy_results(monkeypatch) -> list:
+    """Record what each _Memo.lazy_sum call returns: None for the pairwise path."""
+    results, lazy_sum = [], _Memo.lazy_sum
+
+    def spy(self, terms):
+        results.append(out := lazy_sum(self, terms))
+        return out
+
+    monkeypatch.setattr(_Memo, "lazy_sum", spy)
+    return results
+
+
+def _sum_of(*fractions) -> tuple[RatMatrix, RatMatrix]:
+    """A row of fractions and a column of ones: the product sums the row."""
+    return RatMatrix.from_rows(CTX, [list(fractions)]), RatMatrix.from_rows(CTX, [[1]] * len(fractions))
+
+
+@pytest.mark.parametrize("power, lazy", [(2, True), (3, False)])
+def test_entries_at_and_past_the_cap(monkeypatch, power, lazy):
+    from polymf3.ratfunc import LAZY_SUM_CAP
+
+    # the common denominator (x + y)^2*(x - y)^power has exponent sum 2 + power
+    assert (2 + power <= LAZY_SUM_CAP) == lazy
+    results = _lazy_results(monkeypatch)
+    a = RatMatrix.from_rows(CTX, [[RationalFunction(Z, (X + Y) ** 2), RationalFunction(X + Z, (X - Y) ** power)]])
+    # the second column puts x + y and x - y themselves among the denominators,
+    # so the base refines the powers into certified factors
+    b = RatMatrix.from_rows(CTX, [[1, RationalFunction(Z, X + Y)], [1, RationalFunction(Z, X - Y)]])
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    assert len(results) == 2 and (results[0] is not None) == lazy
+
+
+def test_a_lazy_sum_that_cancels_to_zero(monkeypatch):
+    results = _lazy_results(monkeypatch)
+    p = RationalFunction(Z, (X + Y) * (X - Y))
+    a, b = _sum_of(p, RationalFunction(X, X + Y), -p, RationalFunction(-X, X + Y))
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    assert got[0, 0].is_zero and got[0, 0].denominator.is_one
+    assert len(results) == 1 and results[0] is not None
+
+
+def test_a_lazy_sum_that_cancels_to_a_polynomial(monkeypatch):
+    results = _lazy_results(monkeypatch)
+    a, b = _sum_of(RationalFunction(X * Z, X + Y), RationalFunction(Y * Z, X + Y), RationalFunction(Z, X - Y))
+    b = RatMatrix.from_rows(CTX, [[1], [1], [X - Y]])
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    assert got[0, 0] == RationalFunction.from_value(CTX, 2 * Z)
+    assert len(results) == 1 and results[0] is not None
+
+
+def test_a_term_off_the_base_falls_back(monkeypatch):
+    # (x + y)^2*(x - y) alone is no product of certified factors
+    results = _lazy_results(monkeypatch)
+    d = (X + Y) ** 2 * (X - Y)
+    a, b = _sum_of(RationalFunction(Z, d), RationalFunction(X, d))
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
+    assert got[0, 0] == RationalFunction(X + Z, d)
+    assert results == [None]
+
+
+def test_lazy_sums_match_the_textbook_loop_on_both_sides_of_the_cap():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    binomials = [X + Y, X - Y, Y + Z, X + 2 * Z]
+    numerators = [X, Y - 2, Z + X, Fraction(1, 2) * Y * Z, X + Y]
+
+    @st.composite
+    def entries(draw):
+        if draw(st.booleans()):
+            return RationalFunction.from_value(CTX, draw(st.sampled_from(numerators)))
+        den = Polynomial.one(CTX)
+        for b in binomials:
+            den = den * b ** draw(st.integers(0, 2))
+        return RationalFunction(draw(st.sampled_from(numerators)), den)
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @hypothesis.given(st.integers(1, 3), st.data())
+    def check(n, data):
+        a = RatMatrix.from_rows(CTX, [[data.draw(entries()) for _ in range(n)] for _ in range(2)])
+        b = RatMatrix.from_rows(CTX, [[data.draw(entries()) for _ in range(2)] for _ in range(n)])
+        _assert_same(a @ b, _textbook(a, b))
+
+    check()
