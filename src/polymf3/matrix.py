@@ -16,9 +16,8 @@ their gcds into trial divisions, and it is dropped when the product
 returns. Two or more fraction terms of an entry are summed at once and
 reduced once (_Memo.lazy_sum) up to LAZY_SUM_CAP base factors in their
 common denominator, and pairwise past it or off the base. A scaled
-permutation operand (one nonzero constant in each row
-and each column: an identity, a scalar matrix, a signed shuffle) skips the
-kernel: the product permutes the other operand's rows or columns and
+permutation operand (one nonzero constant in each row and each column: an
+identity, a scalar matrix, a signed shuffle) skips the kernel: the product permutes the other operand's rows or columns and
 scales each entry's numerator by the constant, reusing the entry when it
 is 1. M * c is M @ (c*I), and P.apply_rows(M) is P's 0/1 matrix @ M.
 Every entry is still computed exactly. Every result is canonical, so the
