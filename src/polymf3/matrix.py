@@ -8,20 +8,20 @@ one kernel, which classifies each operand entry once, inline: the entry,
 and its numerator when its denominator is 1. The terms with two polynomial
 factors are summed into one term dict (poly._dot, the one sparse product
 loop, which Polynomial.__mul__ calls too); the others go through the
-fraction field's private _mul/_add, which skip coercion. Within one
-product the denominators are products of a few factors, so the kernel
-hands those private operators a ratfunc._Memo over both operands' entries:
-it factors the denominators over a certified coprime base, which turns
-their gcds into trial divisions, and it is dropped when the product
-returns. Two or more fraction terms of an entry are summed at once and
-reduced once (_Memo.lazy_sum) up to LAZY_SUM_CAP base factors in their
-common denominator, and pairwise past it or off the base. A scaled
-permutation operand (one nonzero constant in each row and each column: an
-identity, a scalar matrix, a signed shuffle) skips the kernel: the product permutes the other operand's rows or columns and
-scales each entry's numerator by the constant, reusing the entry when it
-is 1. M * c is M @ (c*I), and P.apply_rows(M) is P's 0/1 matrix @ M.
-Every entry is still computed exactly. Every result is canonical, so the
-entries are the ones a textbook triple loop of * and + would give.
+fraction field's private _mul/_add, which skip coercion. Within one product
+the denominators are products of a few factors, so the kernel hands those
+private operators a ratfunc._Memo over both operands' entries: it factors
+the denominators over a certified coprime base, which turns their gcds into
+trial divisions, and it is dropped when the product returns. An entry's
+fraction terms are summed and reduced at once (_Memo.lazy_sum), or pairwise
+past LAZY_SUM_CAP or off the base. A scaled permutation operand (one
+nonzero constant in each row and each column: an identity, a scalar matrix,
+a signed shuffle) skips the kernel: the product permutes the other
+operand's rows or columns and scales each entry's numerator by the
+constant, reusing the entry when it is 1. M * c is M @ (c*I), and
+P.apply_rows(M) is P's 0/1 matrix @ M. Every entry is still computed
+exactly. Every result is canonical, so the entries are the ones a textbook
+triple loop of * and + would give.
 
 The steps with no arithmetic are single passes over the entry tuple:
 first_difference compares the contexts once, then canonical term dicts, and
