@@ -194,7 +194,8 @@ class RatMatrix:
                         polys.append((pa, pb))
                     else:
                         fracs.append((a, b))
-                if (acc := memo.lazy_sum(fracs) if len(fracs) > 1 else None) is None:
+                acc = zero
+                if fracs and (len(fracs) == 1 or (acc := memo.lazy_sum(fracs)) is None):
                     # one term, or off the base, or past LAZY_SUM_CAP: Henrici's pairwise sums
                     acc = zero
                     for a, b in fracs:

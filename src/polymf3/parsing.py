@@ -60,6 +60,19 @@ MAX_TERM_PRODUCTS = 10_000
 MAX_COEFFICIENT_BITS = 100_000
 
 
+def _literal(text: str) -> int:
+    """The integer a literal of ASCII digits writes, past int()'s digit limit
+    too. ValueError past MAX_COEFFICIENT_BITS // 3 digits (10^33,333 >
+    2^110,000), which bounds the time it takes."""
+    if len(text) > MAX_COEFFICIENT_BITS // 3:
+        raise ValueError(f"coefficients may exceed {MAX_COEFFICIENT_BITS} bits")
+    try:
+        return int(text)
+    except ValueError:  # too many digits: read each half
+        half = len(text) // 2
+        return _literal(text[:half]) * 10 ** (len(text) - half) + _literal(text[half:])
+
+
 def _coefficient_bits(c) -> int:
     """The bits of a coefficient's numerator and denominator, less two."""
     return c.numerator.bit_length() + c.denominator.bit_length() - 2
@@ -116,6 +129,12 @@ class _Parser:
     def at_op(self, *chars) -> bool:
         tok = self.peek()
         return tok.kind == "OP" and tok.value in chars
+
+    def literal(self, tok: _Token) -> int:
+        try:
+            return _literal(tok.value)
+        except ValueError as exc:
+            raise ParseError(str(exc), self.text, tok.pos) from None
 
     def check_expansion(self, term_products: int, coefficient_bits: int, pos: int):
         if term_products > MAX_TERM_PRODUCTS:
@@ -206,13 +225,13 @@ class _Parser:
     def atom(self) -> Polynomial:
         tok = self.advance()
         if tok.kind == "INT":
-            value = int(tok.value)
+            value = self.literal(tok)
             if self.at_op("/") and self.tokens[self.i + 1].kind == "INT":
                 self.advance()
-                den = int(self.advance().value)
+                den = self.literal(self.advance())
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", self.text, tok.pos)
-                value = Fraction(int(tok.value), den)
+                value = Fraction(value, den)
             return Polynomial.constant(self.ctx, value)
         if tok.kind == "IDENT":
             if tok.value not in self.ctx:
@@ -292,7 +311,7 @@ _ENTRY = rf"({_POLY})|(?:{_SIDE})/(?:{_SIDE})"
 def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
     """The polynomial of a poly that _ENTRY matched; None when it names a
     variable outside ctx or holds a literal that the general grammar would
-    refuse (a zero denominator, more digits than int() takes) or bound
+    refuse (a zero denominator, a literal past _literal's bound) or bound
     (MAX_COEFFICIENT_BITS)."""
     index = ctx._index
     terms, top = [], 0
@@ -306,12 +325,12 @@ def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
             if term[0] in digits:
                 num, _, den = factors.pop(0).partition("/")
                 if den:
-                    den = int(den)
+                    den = _literal(den)
                     if not den:
                         return None
-                    coeff = _quotient(sign * int(num), den)
+                    coeff = _quotient(sign * _literal(num), den)
                 else:
-                    coeff = sign * int(num)
+                    coeff = sign * _literal(num)
                 if factors and _coefficient_bits(coeff) > MAX_COEFFICIENT_BITS:
                     return None
             powers, degree = [], 0
@@ -325,7 +344,7 @@ def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
                 degree += e
             terms.append((powers, coeff))
             top = max(top, degree)
-    except ValueError:  # a literal longer than int()'s digit limit
+    except ValueError:  # a literal past _literal's bound, or an exponent past int()'s limit
         return None
     return Polynomial._from_powers(ctx, terms, top)
 

@@ -47,6 +47,18 @@ def _coeff(value) -> int | Fraction:
     return value.numerator if value.denominator == 1 else value
 
 
+def _decimal(c) -> str:
+    """str(c) for a coefficient c >= 0 of any number of digits, leaving alone
+    the process-wide limit past which str() refuses (4,300 digits by default)."""
+    try:
+        return str(c)
+    except ValueError:  # too many digits: write each half
+        if c.denominator != 1:
+            return f"{_decimal(c.numerator)}/{_decimal(c.denominator)}"
+        high, low = divmod(c, 10 ** (k := c.bit_length() * 3 // 20))
+        return _decimal(high) + _decimal(low).zfill(k)
+
+
 def _quotient(a, b) -> int | Fraction:
     """The exact quotient a/b of two coefficients, as a stored coefficient."""
     if a.__class__ is int and b.__class__ is int:
@@ -545,7 +557,7 @@ class Polynomial:
             mag = -coeff if coeff < 0 else coeff
             powers = [(name, key >> shift & mask) for name, shift in fields]
             mono = "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e)
-            body = str(mag) if not key else mono if mag == 1 else f"{mag}*{mono}"
+            body = _decimal(mag) if not key else mono if mag == 1 else f"{_decimal(mag)}*{mono}"
             if not pieces:
                 pieces.append(f"-{body}" if coeff < 0 else body)
             else:

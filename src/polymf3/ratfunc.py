@@ -25,8 +25,10 @@ from .context import VarContext, same_context
 from .errors import ContextError
 from .poly import Polynomial, _coefficients_in, _dot, _quotient, gcd
 
-# past this many base factors in the common denominator, _Memo.lazy_sum's
-# one large division costs more than Henrici's pairwise reductions
+# the most base factors in an entry's common denominator for _Memo.lazy_sum.
+# Timed per entry against Henrici's pairwise sums, the one-pass sum is ahead
+# or level up to 3; at 4 it wins on small entries (tensor3's products) and
+# loses on large ones (a size-64 factor3 certificate); past 4 it loses or ties
 LAZY_SUM_CAP = 4
 
 
@@ -57,13 +59,15 @@ class _Memo:
     empty memo) leaves its operation to the general gcd.
     """
 
-    __slots__ = ("operands", "base", "vectors", "powers")
+    __slots__ = ("operands", "base", "vectors", "powers", "seen")
 
     def __init__(self):
         self.operands = ()
         self.base: list[Polynomial] | None = None
         self.vectors: dict[Polynomial, tuple[int, ...] | None] = {}
         self.powers: dict[tuple[int, ...], Polynomial] = {}
+        # id(d) -> (d, its vector): holding d keeps its id from being reused
+        self.seen: dict[int, tuple[Polynomial, tuple[int, ...] | None]] = {}
 
     def vector(self, d: Polynomial) -> tuple[int, ...] | None:
         """d's exponents over the base, or None when d is not a product of
@@ -73,10 +77,13 @@ class _Memo:
             if len(d._terms) < 2:
                 return None
             self.base = _coprime_base(self.operands)
+        if (hit := self.seen.get(id(d))) is not None:
+            return hit[1]  # no term-by-term comparison for a d looked up before
         if (v := self.vectors.get(d, d)) is d:
             # no base factor divides d more often than its degree
             rest, v = self.divide(d, [d.total_degree()] * len(self.base))
             v = self.vectors[d] = v if rest.is_one else None
+        self.seen[id(d)] = d, v
         return v
 
     def power(self, v: tuple[int, ...]) -> Polynomial:

@@ -467,3 +467,57 @@ def test_a_short_echoed_value_keeps_its_whole_text(tmp_path, capsys):
     assert code == 2 and err == "error: unknown variable 'w' (at position 4)\n"
     code, _, err = run(capsys, "factor2", "x y")
     assert code == 2 and err == "error: unexpected 'y' (at position 2)\n"
+
+
+# -- coefficients past int()'s and str()'s digit limit ---------------------------
+
+
+def _digit_limit():
+    # sys.get_int_max_str_digits exists from Python 3.11 on
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_a_coefficient_of_6021_digits_is_written_verified_and_reloaded(tmp_path, capsys):
+    from decimal import Decimal
+
+    from polymf3.serialize import artifact_from_obj, artifact_to_obj
+
+    limit = _digit_limit()
+    path = tmp_path / "f2.json"
+    code, _, err = run(capsys, "factor2", "2^20000*x", "--format", "json", "--out", str(path))
+    assert code == 0 and err == ""
+    text = path.read_text()
+    # Decimal prints an int of any length, independently of the writer
+    assert json.loads(text)["f"] == f"{Decimal(2**20000)}*x"
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and out.endswith("verification: PASS (P*Q = f*I exactly)\n")
+    assert to_json(artifact_to_obj(artifact_from_obj(json.loads(text)))) == text
+    assert _digit_limit() == limit
+
+
+def test_a_true_artifact_with_a_5001_digit_coefficient_verifies(tmp_path, capsys):
+    c = "1" + "0" * 5000
+    obj = {
+        "f": f"{c}*x*y", "size": 1, "vars": ["x", "y"],
+        "P": {"rows": 1, "cols": 1, "entries": [[f"{c}*x"]]},
+        "Q": {"rows": 1, "cols": 1, "entries": [["y"]]},
+    }
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and out.endswith("verification: PASS (P*Q = f*I exactly)\n")
+    # a false claim with the same coefficient still fails on its arithmetic
+    obj["Q"]["entries"] = [["2*y"]]
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 1 and err == ""
+    assert out.splitlines()[-1].startswith("verification: FAIL (certificate failed: P*Q[0][0] = 2000")
+
+
+def test_a_literal_past_the_coefficient_bound_is_refused_before_it_is_read(capsys):
+    # 40,000 digits: a value past 2^100,000 on its own, refused at the literal
+    start = time.monotonic()
+    code, out, err = run(capsys, "factor2", "x + " + "9" * 40_000)
+    assert time.monotonic() - start < 2
+    assert code == 2 and out == ""
+    assert err == f"error: coefficients may exceed {MAX_COEFFICIENT_BITS} bits (at position 4)\n"
