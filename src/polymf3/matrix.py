@@ -4,24 +4,24 @@ Everything is exact and immutable. Storage is a flat row-major tuple:
 factor2 and factor3 reach 128x128, and no matrix is larger than MAX_SIZE.
 
 A product builds each entry (i, j) from its nonzero terms A[i,k]*B[k,j] in
-one kernel, which classifies each operand entry once, inline: the entry,
-and its numerator when its denominator is 1. The terms with two polynomial
+one kernel, which classifies each operand entry once, inline: the entry, and
+its numerator when its denominator is 1. The terms with two polynomial
 factors are summed into one term dict (poly._dot, the one sparse product
 loop, which Polynomial.__mul__ calls too); the others go through the
 fraction field's private _mul/_add, which skip coercion. Within one product
-the denominators are products of a few factors, so the kernel hands those
-private operators a ratfunc._Memo over both operands' entries: it factors
-the denominators over a certified coprime base, which turns their gcds into
-trial divisions, and it is dropped when the product returns. An entry's
-fraction terms are summed and reduced at once (_Memo.lazy_sum), or pairwise
-past LAZY_SUM_CAP or off the base. A scaled permutation operand (one
-nonzero constant in each row and each column: an identity, a scalar matrix,
-a signed shuffle) skips the kernel: the product permutes the other
-operand's rows or columns and scales each entry's numerator by the
-constant, reusing the entry when it is 1. M * c is M @ (c*I), and
-P.apply_rows(M) is P's 0/1 matrix @ M. Every entry is still computed
-exactly. Every result is canonical, so the entries are the ones a textbook
-triple loop of * and + would give.
+the denominators are products of a few factors, so each product starts by
+building a ratfunc._Memo from both operands' entries for those operators: it
+factors every denominator over a certified coprime base, which turns their
+gcds into trial divisions, and is dropped when the product returns. An
+entry's fraction terms are summed and reduced at once (_Memo.lazy_sum), or
+pairwise past LAZY_SUM_CAP or off the base. A scaled permutation operand
+(one nonzero constant in each row and each column: an identity, a scalar
+matrix, a signed shuffle) skips the kernel: the product permutes the other
+operand's rows or columns and scales each entry's numerator by the constant,
+reusing the entry when it is 1. M * c is M @ (c*I), and P.apply_rows(M) is
+P's 0/1 matrix @ M. Every entry is still computed exactly. Every result is
+canonical, so the entries are the ones a textbook triple loop of * and +
+would give.
 
 The steps with no arithmetic are single passes over the entry tuple:
 first_difference compares the contexts once, then canonical term dicts, and
@@ -171,8 +171,7 @@ class RatMatrix:
                 _times(a[r + i], c) for r in range(0, self._rows * m, m) for _, i, c in source
             ))
         zero, one = RationalFunction.zero(ctx), Polynomial.one(ctx)
-        memo = _Memo()
-        memo.operands = (self._entries, other._entries)
+        memo = _Memo((self._entries, other._entries))
         # operand entries as (entry, its numerator when its denominator is 1,
         # else None): all of other's, with None for 0, and self's nonzero ones
         right = [(e, e._num if e._den.is_one else None) if e._num._terms else None for e in other._entries]

@@ -14,10 +14,11 @@ INT '/' INT is a rational literal. Inside an expr a '/' is only consumed
 between two integer literals; a quotient's '/' must be the only '/' at
 parenthesis depth 0, literals included, so "1/2*x/y" is refused.
 
-Hostile input ends in a ParseError at three limits: parentheses and unary
-minus nest at most MAX_NESTING deep, and expanding one product or power takes
+Hostile input ends in a ParseError at four limits: parentheses and unary
+minus nest at most MAX_NESTING deep, expanding one product or power takes
 at most MAX_TERM_PRODUCTS term products and reaches at most an estimated
-MAX_COEFFICIENT_BITS per coefficient. Exponents are not bounded themselves.
+MAX_COEFFICIENT_BITS per coefficient, and an exponent has at most
+MAX_EXPONENT_DIGITS digits, the most that Polynomial.__str__ writes.
 
 Stored entries and targets are read by read_rational_function and
 read_polynomial, which take the text that RationalFunction.__str__ and
@@ -58,6 +59,9 @@ class _Token:
 MAX_NESTING = 100
 MAX_TERM_PRODUCTS = 10_000
 MAX_COEFFICIENT_BITS = 100_000
+# str()'s default digit limit on Python 3.11 and later: Polynomial.__str__
+# writes exponents with str(), so every exponent it writes reads back
+MAX_EXPONENT_DIGITS = 4_300
 
 
 def _literal(text: str) -> int:
@@ -71,6 +75,13 @@ def _literal(text: str) -> int:
     except ValueError:  # too many digits: read each half
         half = len(text) // 2
         return _literal(text[:half]) * 10 ** (len(text) - half) + _literal(text[half:])
+
+
+def _exponent(text: str) -> int:
+    """int(text), with a ValueError past MAX_EXPONENT_DIGITS on every interpreter."""
+    if len(text) > MAX_EXPONENT_DIGITS:
+        raise ValueError(f"exponents may have at most {MAX_EXPONENT_DIGITS} digits")
+    return int(text)
 
 
 def _coefficient_bits(c) -> int:
@@ -130,9 +141,9 @@ class _Parser:
         tok = self.peek()
         return tok.kind == "OP" and tok.value in chars
 
-    def literal(self, tok: _Token) -> int:
+    def literal(self, tok: _Token, read=_literal) -> int:
         try:
-            return _literal(tok.value)
+            return read(tok.value)
         except ValueError as exc:
             raise ParseError(str(exc), self.text, tok.pos) from None
 
@@ -215,7 +226,7 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "INT":
             raise ParseError("expected an integer exponent", self.text, tok.pos)
-        exponent = int(tok.value)
+        exponent = self.literal(tok, _exponent)
         # base^e is base^(e//2) * base^(e - e//2); a t-term base^k has <= C(t+k-1, k) terms
         half = exponent // 2
         bounds = [comb(max(len(base) - 1, 0) + k, k) for k in (half, exponent - half)]
@@ -311,8 +322,8 @@ _ENTRY = rf"({_POLY})|(?:{_SIDE})/(?:{_SIDE})"
 def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
     """The polynomial of a poly that _ENTRY matched; None when it names a
     variable outside ctx or holds a literal that the general grammar would
-    refuse (a zero denominator, a literal past _literal's bound) or bound
-    (MAX_COEFFICIENT_BITS)."""
+    refuse (a zero denominator, a literal past _literal's bound, an exponent
+    past _exponent's) or bound (MAX_COEFFICIENT_BITS)."""
     index = ctx._index
     terms, top = [], 0
     try:
@@ -339,12 +350,12 @@ def _read_polynomial(text: str, ctx: VarContext) -> Polynomial | None:
                 i = index.get(name)
                 if i is None:
                     return None
-                e = int(exponent) if exponent else 1
+                e = _exponent(exponent) if exponent else 1
                 powers.append((i, e))
                 degree += e
             terms.append((powers, coeff))
             top = max(top, degree)
-    except ValueError:  # a literal past _literal's bound, or an exponent past int()'s limit
+    except ValueError:  # a literal or an exponent past its bound
         return None
     return Polynomial._from_powers(ctx, terms, top)
 

@@ -8,11 +8,12 @@ denominators, as every gcd is monic and so is any product or exact quotient
 of monic polynomials; only an inverse or a context move rescales (_monic).
 
 The private _add and _mul take a _Memo, one matrix product's denominators
-over a coprime base of factors certified irreducible. Over it a gcd of
-denominators is an exponent minimum and a gcd of a numerator with a
-denominator is found by trial division; a denominator off the base, or no
-memo, takes the general gcd of the poly module. _Memo.lazy_sum sums a
-matrix entry's fractions over their common denominator and reduces once.
+over a coprime base of factors certified irreducible, built from both
+operands when the product starts. Over it a gcd of denominators is an
+exponent minimum and a gcd of a numerator with a denominator is found by
+trial division; a denominator off the base, or no memo, takes the general
+gcd of the poly module. _Memo.lazy_sum sums a matrix entry's fractions over
+their common denominator and reduces once.
 """
 
 from __future__ import annotations
@@ -44,26 +45,25 @@ def _monic(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
 class _Memo:
     """The denominators of one matrix product over a coprime base.
 
-    RatMatrix makes one per product, sets operands to the entry sequences it
-    multiplies, and drops it when the product returns: within a product the
-    same few factors recur, and a table that outlived it would only grow.
-    The first lookup of a denominator with two or more terms builds the
-    base (_coprime_base) from every denominator of the operands; until then,
-    and in a product with no such denominator, nothing is built and gcd's
-    own shortcuts run. A denominator that is a product of base factors is an
-    exponent vector, and the gcd of a numerator with it is the product of
-    b^min(e, v_b(num)), found by trial division: a certified irreducible b
-    that does not divide proves coprimality. Sums and products of such
+    RatMatrix makes one per product over the entry sequences it multiplies,
+    and drops it when the product returns: within a product the same few
+    factors recur, and a table that outlived it would only grow. The
+    constructor builds the base (_coprime_base) from every denominator of
+    the operands at once; a product with only denominators 1 gets an empty
+    base. A denominator that is a product of base factors is an exponent
+    vector (1 is the zero vector), and the gcd of a numerator with it is the
+    product of b^min(e, v_b(num)), found by trial division: a certified
+    irreducible b that does not divide proves coprimality. Monomial
+    denominators factor over the base's variables. Sums and products of such
     fractions have such denominators again, so a product's certificate stays
-    on the base. A denominator off the base (an uncertified factor, or an
-    empty memo) leaves its operation to the general gcd.
+    on the base. A denominator off the base (an uncertified factor) leaves
+    its operation to the general gcd.
     """
 
-    __slots__ = ("operands", "base", "vectors", "powers", "seen")
+    __slots__ = ("base", "vectors", "powers", "seen")
 
-    def __init__(self):
-        self.operands = ()
-        self.base: list[Polynomial] | None = None
+    def __init__(self, operands=()):
+        self.base = _coprime_base(operands)
         self.vectors: dict[Polynomial, tuple[int, ...] | None] = {}
         self.powers: dict[tuple[int, ...], Polynomial] = {}
         # id(d) -> (d, its vector): holding d keeps its id from being reused
@@ -71,12 +71,7 @@ class _Memo:
 
     def vector(self, d: Polynomial) -> tuple[int, ...] | None:
         """d's exponents over the base, or None when d is not a product of
-        base factors. Only a d with two or more terms builds the base; until
-        one does, every d gets None."""
-        if self.base is None:
-            if len(d._terms) < 2:
-                return None
-            self.base = _coprime_base(self.operands)
+        base factors."""
         if (hit := self.seen.get(id(d))) is not None:
             return hit[1]  # no term-by-term comparison for a d looked up before
         if (v := self.vectors.get(d, d)) is d:
@@ -114,16 +109,9 @@ class _Memo:
         divide. None when a denominator is off the base or sum(top) > LAZY_SUM_CAP."""
         groups: dict[tuple[int, ...], list] = {}
         for a, b in terms:
-            d1, d2 = a._den, b._den
-            if d1.is_one or len(d1._terms) < len(d2._terms):
-                d1, d2 = d2, d1  # d1 the one that builds the base, as in _mul
-            if (v := self.vector(d1)) is None:
+            if (v := self.vector(a._den)) is None or (w := self.vector(b._den)) is None:
                 return None
-            if not d2.is_one:
-                if (w := self.vector(d2)) is None:
-                    return None
-                v = tuple(map(add, v, w))
-            groups.setdefault(v, []).append((a._num, b._num))
+            groups.setdefault(tuple(map(add, v, w)), []).append((a._num, b._num))
         top = tuple(map(max, zip(*groups)))
         if sum(top) > LAZY_SUM_CAP:
             return None
@@ -354,8 +342,7 @@ class RationalFunction:
             return RationalFunction.zero(self.context)
         if d1.is_one and d2.is_one:
             return RationalFunction._raw(n1 * n2, d1)
-        if d1.is_one or len(d1._terms) < len(d2._terms):
-            # d1 the denominator of more terms, the one that builds memo's base
+        if d1.is_one:  # so that below only d2 may be 1
             n1, d1, n2, d2 = n2, d2, n1, d1
         if memo is not None and (e1 := memo.vector(d1)) is not None and (e2 := memo.vector(d2)) is not None:
             # each cross gcd by trial division over the base

@@ -13,6 +13,7 @@ import pytest
 
 from polymf3 import Polynomial, RatMatrix, RationalFunction, VarContext
 from polymf3 import matrix as matrix_module
+from polymf3 import ratfunc
 from polymf3.ratfunc import _irreducible, _Memo
 
 CTX = VarContext("x y z")
@@ -20,9 +21,7 @@ X, Y, Z = CTX.gens()
 
 
 def _memo(*entries: RationalFunction) -> _Memo:
-    memo = _Memo()
-    memo.operands = (entries,)
-    return memo
+    return _Memo((entries,))
 
 
 def _assert_same(got: RationalFunction, want: RationalFunction):
@@ -166,8 +165,8 @@ def test_each_product_builds_its_base_from_both_operands(monkeypatch):
     class Spy(_Memo):
         __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, operands=()):
+            super().__init__(operands)
             made.append(self)
 
     monkeypatch.setattr(matrix_module, "_Memo", Spy)
@@ -182,6 +181,28 @@ def test_each_product_builds_its_base_from_both_operands(monkeypatch):
         for j in range(2):
             _assert_same(scaled[i, j], a[i, j] * v)
             _assert_same(product[i, j], a[i, 0] * a[j, 0] + a[i, 1] * a[j, 1])
+
+
+def test_monomial_denominators_build_a_base_of_variables(monkeypatch):
+    bases, coprime_base = [], ratfunc._coprime_base
+
+    def recording_base(operands):
+        bases.append(base := coprime_base(operands))
+        return base
+
+    monkeypatch.setattr(ratfunc, "_coprime_base", recording_base)
+    a = RatMatrix.from_rows(CTX, [
+        [RationalFunction(Y + 1, X), RationalFunction(Z, X * Y**2)], [1, RationalFunction(X - Z, Z**2)],
+    ])
+    b = RatMatrix.from_rows(CTX, [
+        [RationalFunction(X, Y), Z], [RationalFunction(X * Y, Z), RationalFunction(Y + Z, X**2 * Y)],
+    ])
+    product = a @ b
+    # every denominator is a monomial, so the base holds only their variables
+    assert len(bases) == 1 and sorted(map(str, bases[0])) == ["x", "y", "z"]
+    for i in range(2):
+        for j in range(2):
+            _assert_same(product[i, j], a[i, 0] * b[0, j] + a[i, 1] * b[1, j])
 
 
 # -- constants between contexts and a left entry 1 in kron ---------------------

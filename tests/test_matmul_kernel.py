@@ -189,8 +189,8 @@ def test_each_product_makes_and_drops_its_own_memo(monkeypatch):
     class Spy(_Memo):
         __slots__ = ()
 
-        def __init__(self):
-            super().__init__()
+        def __init__(self, operands=()):
+            super().__init__(operands)
             made.append(self)
 
     monkeypatch.setattr(matrix_module, "_Memo", Spy)
@@ -367,6 +367,17 @@ def test_a_term_off_the_base_falls_back(monkeypatch):
     got = a @ b
     _assert_same(got, _textbook(a, b))
     assert got[0, 0] == RationalFunction(X + Z, d)
+    assert results == [None]
+
+
+def test_a_pair_with_one_denominator_on_the_base_and_one_off_it_falls_back(monkeypatch):
+    # x + y and x + z are certified factors; x^2 + y^2 has degree 2 in both
+    # variables, so it stays off the base
+    results = _lazy_results(monkeypatch)
+    a = RatMatrix.from_rows(CTX, [[RationalFunction(Z, (X + Y) * (X + Z)), RationalFunction(Z + 1, X + Y)]])
+    b = RatMatrix.from_rows(CTX, [[RationalFunction(X, X**2 + Y**2)], [RationalFunction(Y, X + Z)]])
+    got = a @ b
+    _assert_same(got, _textbook(a, b))
     assert results == [None]
 
 

@@ -11,7 +11,7 @@ import pytest
 from polymf3 import MF2, Morphism3, RatMatrix, VarContext, gcd, promote
 from polymf3.cli import main
 from polymf3.mf2 import MAX_SPLITS
-from polymf3.parsing import MAX_COEFFICIENT_BITS, MAX_NESTING
+from polymf3.parsing import MAX_COEFFICIENT_BITS, MAX_EXPONENT_DIGITS, MAX_NESTING
 from polymf3.serialize import morphism_to_obj, to_json
 from polymf3.serialize import factorization_to_obj
 
@@ -512,6 +512,26 @@ def test_a_true_artifact_with_a_5001_digit_coefficient_verifies(tmp_path, capsys
     code, out, err = run(capsys, "verify", str(path))
     assert code == 1 and err == ""
     assert out.splitlines()[-1].startswith("verification: FAIL (certificate failed: P*Q[0][0] = 2000")
+
+
+def test_an_exponent_past_its_digit_bound_is_refused_at_the_token(tmp_path, capsys):
+    # 5,001 digits: past str()'s default limit on Python 3.11 and later, and
+    # refused by the same bound on an interpreter without that limit
+    wanted = f"exponents may have at most {MAX_EXPONENT_DIGITS} digits (at position 2)"
+    code, out, err = run(capsys, "factor2", "x^1" + "0" * 5000)
+    assert code == 2 and out == "" and err == f"error: {wanted}\n"
+    # at the bound, the exponent is written, verified and reloaded
+    path = tmp_path / "f2.json"
+    code, _, err = run(capsys, "factor2", "x^" + "9" * MAX_EXPONENT_DIGITS + "*y", "--format", "json", "--out", str(path))
+    assert code == 0 and err == ""
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 0 and err == "" and out.endswith("verification: PASS (P*Q = f*I exactly)\n")
+    # a stored entry past the bound is refused by the same error
+    obj = json.loads(path.read_text())
+    obj["P"]["entries"][0][0] = "x^1" + "0" * 5000
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err == f"error: {wanted}\n"
 
 
 def test_a_literal_past_the_coefficient_bound_is_refused_before_it_is_read(capsys):
